@@ -54,7 +54,7 @@ val log_likelihood : t -> float
 val filter_state : t -> (Psm_hmm.Filtering.t * Psm_hmm.Filtering.Stream.state) option
 (** Filter sessions expose their shared context and belief state so a
     batch scheduler can sweep many sessions at once
-    ({!Psm_hmm.Filtering.Stream.step_many}); [None] for sim sessions. *)
+    ({!Psm_hmm.Filtering.Stream.sweep}); [None] for sim sessions. *)
 
 val batched_result : t -> hd:float -> float * int
 (** The per-instant result after an external batched sweep advanced this

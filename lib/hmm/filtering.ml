@@ -6,13 +6,9 @@ let floor_p = 1e-9
 
 type t = {
   hmm : Hmm.t;
-  a_instant : float array array; (* dwell-corrected per-instant transitions *)
-  a_instant_csr : Sparse.t;
+  a_instant_csr : Sparse.t; (* dwell-corrected per-instant transitions *)
   a_instant_csc : Sparse.csc; (* gather form for the batched sweep *)
-  kernel : Hmm.kernel;
   outputs : Psm.output array; (* row -> state output, resolved once *)
-  alpha : float array; (* scratch: current belief *)
-  scratch : float array; (* scratch: next belief accumulator *)
   emissions : float array array;
       (* [0] -> all-ones (unknown observation); [p + 1] -> per-row
          emission of proposition p, floored. Same values as [emission] —
@@ -20,16 +16,10 @@ type t = {
          through [Hmm.b_obs] per state per session. *)
 }
 
-let create ?(kernel = `Auto) hmm =
+let create hmm =
   let m = Hmm.state_count hmm in
   let psm = Hmm.psm hmm in
-  let dwell =
-    Array.init m (fun row ->
-        let s = Psm.state psm (Hmm.state_of_row hmm row) in
-        let visits = max 1 (List.length s.Psm.attr.Psm_core.Power_attr.intervals) in
-        Float.max 1.5
-          (float_of_int s.Psm.attr.Psm_core.Power_attr.n /. float_of_int visits))
-  in
+  let dwell = Hmm.dwell hmm in
   let a_instant =
     Array.init m (fun i ->
         let stay = 1. -. (1. /. dwell.(i)) in
@@ -42,27 +32,12 @@ let create ?(kernel = `Auto) hmm =
         if total > 0. then Array.map (fun v -> v /. total) row else row)
   in
   let a_instant_csr = Sparse.of_dense a_instant in
-  let kernel =
-    match kernel with
-    | (`Dense | `Sparse) as k -> k
-    | `Auto ->
-        (* Stream length unknown at creation; the per-step cost decides
-           (it does on every real T — setup is O(m²) either way here,
-           the dense a_instant is materialized regardless). *)
-        Kernel_cost.forward ~m ~nnz:(Sparse.nnz a_instant_csr) ()
-  in
-  Kernel_cost.record "forward"
-    (kernel :> [ `Dense | `Sparse | `Reference | `Indexed ]);
   { hmm;
-    a_instant;
     a_instant_csr;
     a_instant_csc = Sparse.transpose a_instant_csr;
-    kernel;
     outputs =
       Array.init m (fun row ->
           (Psm.state psm (Hmm.state_of_row hmm row)).Psm.output);
-    alpha = Array.make m 0.;
-    scratch = Array.make m 0.;
     emissions =
       (let nprops = Table.prop_count (Psm.prop_table psm) in
        Array.init (nprops + 1) (fun k ->
@@ -70,8 +45,6 @@ let create ?(kernel = `Auto) hmm =
            else
              Array.init m (fun row ->
                  Float.max floor_p (Hmm.b_obs hmm row (k - 1))))) }
-
-let kernel t = t.kernel
 
 let emission t row = function
   | None -> 1.
@@ -84,110 +57,27 @@ let emission_row t = function
   | None -> t.emissions.(0)
   | Some p when p >= 0 && p + 1 < Array.length t.emissions -> t.emissions.(p + 1)
   | Some _ as obs ->
-      Array.init (Array.length t.alpha) (fun row -> emission t row obs)
+      Array.init (Hmm.state_count t.hmm) (fun row -> emission t row obs)
 
-(* The α recursion, streamed: [emit time alpha] sees each normalized
-   belief in turn (the array is reused — consumers must copy what they
-   keep). Returns the log likelihood from the normalization constants.
-   Not reentrant: the scratch buffers live in [t]. *)
-let forward_iter t observations ~emit =
-  Psm_obs.span "hmm.forward" @@ fun () ->
-  let m = Hmm.state_count t.hmm in
-  let n = Array.length observations in
-  let log_lik = ref 0. in
-  if n > 0 then begin
-    let alpha = t.alpha and scratch = t.scratch in
-    let pi = Hmm.pi t.hmm in
-    for j = 0 to m - 1 do
-      alpha.(j) <- pi.(j) *. emission t j observations.(0)
-    done;
-    let normalize v =
-      let total = Array.fold_left ( +. ) 0. v in
-      if total > 0. then begin
-        Array.iteri (fun i x -> v.(i) <- x /. total) v;
-        total
-      end
-      else begin
-        (* Impossible observation everywhere: reset to uniform. *)
-        Array.iteri (fun i _ -> v.(i) <- 1. /. float_of_int m) v;
-        floor_p
-      end
-    in
-    log_lik := log (normalize alpha);
-    emit 0 alpha;
-    for time = 1 to n - 1 do
-      (match t.kernel with
-      | `Sparse ->
-          Array.fill scratch 0 m 0.;
-          Sparse.scatter_product t.a_instant_csr alpha scratch;
-          for j = 0 to m - 1 do
-            scratch.(j) <- scratch.(j) *. emission t j observations.(time)
-          done
-      | `Dense ->
-          for j = 0 to m - 1 do
-            let acc = ref 0. in
-            for i = 0 to m - 1 do
-              acc := !acc +. (alpha.(i) *. t.a_instant.(i).(j))
-            done;
-            scratch.(j) <- !acc *. emission t j observations.(time)
-          done);
-      Array.blit scratch 0 alpha 0 m;
-      log_lik := !log_lik +. log (normalize alpha);
-      emit time alpha
-    done
-  end;
-  !log_lik
-
-let posteriors t observations =
-  let m = Hmm.state_count t.hmm in
-  let post = Array.make_matrix (Array.length observations) m 0. in
-  let (_ : float) =
-    forward_iter t observations ~emit:(fun time alpha ->
-        Array.blit alpha 0 post.(time) 0 m)
-  in
-  post
-
-let map_states t observations =
-  let states = Array.make (Array.length observations) 0 in
-  let (_ : float) =
-    forward_iter t observations ~emit:(fun time alpha ->
-        let best = ref 0 in
-        Array.iteri (fun j v -> if v > alpha.(!best) then best := j) alpha;
-        states.(time) <- !best)
-  in
-  states
-
-let classify t trace =
-  let table = Psm.prop_table (Hmm.psm t.hmm) in
-  Array.init (Functional_trace.length trace) (fun time ->
-      Table.classify table (Functional_trace.sample trace ~time))
-
-let expected_power t trace =
-  let hd = Functional_trace.input_hamming_series trace in
-  let observations = classify t trace in
-  let power = Array.make (Array.length observations) 0. in
-  let (_ : float) =
-    forward_iter t observations ~emit:(fun time alpha ->
-        let acc = ref 0. in
-        Array.iteri
-          (fun row p ->
-            if p > 0. then
-              acc := !acc +. (p *. Psm.eval_output t.outputs.(row) ~hamming:hd.(time)))
-          alpha;
-        power.(time) <- !acc)
-  in
-  power
-
-(* Likelihood without materializing the O(T×m) posterior matrix. *)
-let log_likelihood t observations = forward_iter t observations ~emit:(fun _ _ -> ())
+(* Normalize [v] in place and return the normalizing constant. An
+   impossible observation everywhere resets to uniform and reports
+   [floor_p]. *)
+let normalize v =
+  let total = Array.fold_left ( +. ) 0. v in
+  if total > 0. then begin
+    Array.iteri (fun i x -> v.(i) <- x /. total) v;
+    total
+  end
+  else begin
+    Array.fill v 0 (Array.length v) (1. /. float_of_int (Array.length v));
+    floor_p
+  end
 
 (* ---------- Streaming sessions (the serve hot path) ---------- *)
 
-(* CONTRACT (see the mli): everything in this module reads [t] but never
-   writes it — not even [t.alpha]/[t.scratch], which belong to
-   [forward_iter] above. The serve engine steps shards sharing one [t]
-   from distinct domains in parallel; a write to [t] here is a data
-   race. *)
+(* CONTRACT (see the mli): [t] is immutable; every write goes through a
+   [state]. The serve engine steps shards sharing one [t] from distinct
+   domains in parallel. *)
 module Stream = struct
   type state = {
     alpha : float array;
@@ -234,25 +124,16 @@ module Stream = struct
   let log_likelihood s = s.log_lik
   let belief s = s.alpha
 
-  (* Scalar step: one [forward_iter] iteration verbatim — same kernels,
-     same fold/normalize order — so a session stepped observation by
-     observation holds exactly the belief forward_iter would have emitted
-     at the same instant. This is also the per-session reference loop the
-     batched sweep is measured (and tested bit-identical) against. *)
+  (* The α recursion, one observation at a time: the first step weighs π
+     by the emission, every later one scatters the belief through A' and
+     weighs by the emission, then normalizes. [forward_iter] is this step
+     in a loop, so a session stepped observation by observation holds
+     exactly the belief the whole-sequence recursion emits at the same
+     instant. It is also the per-session reference loop the batched
+     sweep is measured (and tested bit-identical) against. *)
   let step t s obs =
     let m = Hmm.state_count t.hmm in
     let alpha = s.alpha and scratch = s.scratch in
-    let normalize v =
-      let total = Array.fold_left ( +. ) 0. v in
-      if total > 0. then begin
-        Array.iteri (fun i x -> v.(i) <- x /. total) v;
-        total
-      end
-      else begin
-        Array.iteri (fun i _ -> v.(i) <- 1. /. float_of_int m) v;
-        floor_p
-      end
-    in
     if s.steps = 0 then begin
       let pi = Hmm.pi t.hmm in
       for j = 0 to m - 1 do
@@ -260,110 +141,14 @@ module Stream = struct
       done
     end
     else begin
-      (match t.kernel with
-      | `Sparse ->
-          Array.fill scratch 0 m 0.;
-          Sparse.scatter_product t.a_instant_csr alpha scratch;
-          for j = 0 to m - 1 do
-            scratch.(j) <- scratch.(j) *. emission t j obs
-          done
-      | `Dense ->
-          for j = 0 to m - 1 do
-            let acc = ref 0. in
-            for i = 0 to m - 1 do
-              acc := !acc +. (alpha.(i) *. t.a_instant.(i).(j))
-            done;
-            scratch.(j) <- !acc *. emission t j obs
-          done);
-      Array.blit scratch 0 alpha 0 m
+      Array.fill scratch 0 m 0.;
+      Sparse.scatter_product t.a_instant_csr alpha scratch;
+      for j = 0 to m - 1 do
+        alpha.(j) <- scratch.(j) *. emission t j obs
+      done
     end;
     s.log_lik <- s.log_lik +. log (normalize alpha);
     s.steps <- s.steps + 1
-
-  (* One batched sweep: every session advances one observation. Per
-     session the arithmetic is [step]'s exactly — contributions reach its
-     scratch in [Sparse.scatter_product]'s ascending-(i, j) order, the
-     normalizing sum accumulates in the scalar fold's ascending-j order —
-     so the batched belief is bit-identical to stepping each session
-     alone. Only the loop structure differs: the CSR traversal is
-     amortized across all sessions (entry-outer, session-inner), the
-     emission multiply / sum / normalize are fused into two monomorphic
-     unsafe passes, and emission rows come from the precomputed table.
-     That structural difference is the serve hot path's throughput edge
-     over the per-session loop. *)
-  let step_many t states obss =
-    let n = Array.length states in
-    if Array.length obss <> n then
-      invalid_arg "Filtering.Stream.step_many: length mismatch";
-    let m = Hmm.state_count t.hmm in
-    let started = Array.make n false in
-    let any_started = ref false in
-    for s = 0 to n - 1 do
-      if states.(s).steps = 0 then step t states.(s) obss.(s)
-      else begin
-        started.(s) <- true;
-        any_started := true
-      end
-    done;
-    if !any_started then begin
-      for s = 0 to n - 1 do
-        if started.(s) then Array.fill states.(s).scratch 0 m 0.
-      done;
-      (match t.kernel with
-      | `Sparse ->
-          for i = 0 to m - 1 do
-            Sparse.iter_row t.a_instant_csr i (fun j v ->
-                for s = 0 to n - 1 do
-                  if Array.unsafe_get started s then begin
-                    let st = Array.unsafe_get states s in
-                    let ai = Array.unsafe_get st.alpha i in
-                    if ai > 0. then
-                      Array.unsafe_set st.scratch j
-                        (Array.unsafe_get st.scratch j +. (ai *. v))
-                  end
-                done)
-          done
-      | `Dense ->
-          for s = 0 to n - 1 do
-            if started.(s) then begin
-              let st = states.(s) in
-              for j = 0 to m - 1 do
-                let acc = ref 0. in
-                for i = 0 to m - 1 do
-                  acc :=
-                    !acc
-                    +. (Array.unsafe_get st.alpha i
-                       *. Array.unsafe_get (Array.unsafe_get t.a_instant i) j)
-                done;
-                Array.unsafe_set st.scratch j !acc
-              done
-            end
-          done);
-      for s = 0 to n - 1 do
-        if started.(s) then begin
-          let st = states.(s) in
-          let ev = emission_row t obss.(s) in
-          let total = ref 0. in
-          for j = 0 to m - 1 do
-            let x = Array.unsafe_get st.scratch j *. Array.unsafe_get ev j in
-            Array.unsafe_set st.alpha j x;
-            total := !total +. x
-          done;
-          let total = !total in
-          if total > 0. then begin
-            for j = 0 to m - 1 do
-              Array.unsafe_set st.alpha j (Array.unsafe_get st.alpha j /. total)
-            done;
-            st.log_lik <- st.log_lik +. log total
-          end
-          else begin
-            Array.fill st.alpha 0 m (1. /. float_of_int m);
-            st.log_lik <- st.log_lik +. log floor_p
-          end;
-          st.steps <- st.steps + 1
-        end
-      done
-    end
 
   (* [map_state]/[power] run once per session-cycle on the serve path —
      monomorphic loops (no closure, [eval_output] inlined by constructor)
@@ -399,13 +184,14 @@ module Stream = struct
     done;
     !acc
 
-  (* The serve fast path: [step_many] with the per-session scoring folded
-     into the normalize pass. Per session the stored belief is
-     [step_many]'s exactly (same propagation, same emission multiply,
-     same normalizing sum and division), and [powers]/[rows] accumulate
-     over the *stored* normalized values in the same ascending-row order
-     — with the same [p > 0.] guard and strict-[>] argmax — as a separate
-     {!power} / {!map_state} pass would. Fusing merely removes two extra
+  (* The serve fast path: every session advances one observation, with
+     the per-session scoring folded into the normalize pass. Per session
+     the stored belief is [step]'s exactly (same propagation, same
+     emission multiply, same normalizing sum and division), and
+     [powers]/[rows] accumulate over the *stored* normalized values in
+     the same ascending-row order — with the same [p > 0.] guard and
+     strict-[>] argmax — as a separate {!power} / {!map_state} pass
+     would. Fusing merely removes two extra
      O(m) traversals per session-cycle; every float op and comparison it
      performs is one the unfused pipeline performs on identical inputs,
      so the results stay bit-identical. *)
@@ -432,34 +218,16 @@ module Stream = struct
       end
     done;
     if !any_started then begin
-      (match t.kernel with
-      | `Sparse ->
-          (* Gather form: the CSC metadata stays cache-hot while the
-             whole shard streams through it back to back — the batching
-             win the per-session loop (scatter + clear per step) never
-             sees. Bit-identical: see {!Sparse.gather_product}. *)
-          for s = 0 to n - 1 do
-            if started.(s) then begin
-              let st = states.(s) in
-              Sparse.gather_product t.a_instant_csc st.alpha st.scratch
-            end
-          done
-      | `Dense ->
-          for s = 0 to n - 1 do
-            if started.(s) then begin
-              let st = states.(s) in
-              for j = 0 to m - 1 do
-                let acc = ref 0. in
-                for i = 0 to m - 1 do
-                  acc :=
-                    !acc
-                    +. (Array.unsafe_get st.alpha i
-                       *. Array.unsafe_get (Array.unsafe_get t.a_instant i) j)
-                done;
-                Array.unsafe_set st.scratch j !acc
-              done
-            end
-          done);
+      (* Gather form: the CSC metadata stays cache-hot while the whole
+         shard streams through it back to back — the batching win the
+         per-session loop (scatter + clear per step) never sees.
+         Bit-identical: see {!Sparse.gather_product}. *)
+      for s = 0 to n - 1 do
+        if started.(s) then begin
+          let st = states.(s) in
+          Sparse.gather_product t.a_instant_csc st.alpha st.scratch
+        end
+      done;
       for s = 0 to n - 1 do
         if started.(s) then begin
           let st = Array.unsafe_get states s in
@@ -511,3 +279,60 @@ module Stream = struct
       done
     end
 end
+
+(* The α recursion over a whole sequence: {!Stream.step} on a fresh
+   state. [emit time alpha] sees each normalized belief in turn (the
+   array is reused — consumers must copy what they keep). Returns the log
+   likelihood from the normalization constants. *)
+let forward_iter t observations ~emit =
+  Psm_obs.span "hmm.forward" @@ fun () ->
+  let s = Stream.make t in
+  Array.iteri
+    (fun time obs ->
+      Stream.step t s obs;
+      emit time (Stream.belief s))
+    observations;
+  Stream.log_likelihood s
+
+let posteriors t observations =
+  let m = Hmm.state_count t.hmm in
+  let post = Array.make_matrix (Array.length observations) m 0. in
+  let (_ : float) =
+    forward_iter t observations ~emit:(fun time alpha ->
+        Array.blit alpha 0 post.(time) 0 m)
+  in
+  post
+
+let map_states t observations =
+  let states = Array.make (Array.length observations) 0 in
+  let (_ : float) =
+    forward_iter t observations ~emit:(fun time alpha ->
+        let best = ref 0 in
+        Array.iteri (fun j v -> if v > alpha.(!best) then best := j) alpha;
+        states.(time) <- !best)
+  in
+  states
+
+let classify t trace =
+  let table = Psm.prop_table (Hmm.psm t.hmm) in
+  Array.init (Functional_trace.length trace) (fun time ->
+      Table.classify table (Functional_trace.sample trace ~time))
+
+let expected_power t trace =
+  let hd = Functional_trace.input_hamming_series trace in
+  let observations = classify t trace in
+  let power = Array.make (Array.length observations) 0. in
+  let (_ : float) =
+    forward_iter t observations ~emit:(fun time alpha ->
+        let acc = ref 0. in
+        Array.iteri
+          (fun row p ->
+            if p > 0. then
+              acc := !acc +. (p *. Psm.eval_output t.outputs.(row) ~hamming:hd.(time)))
+          alpha;
+        power.(time) <- !acc)
+  in
+  power
+
+(* Likelihood without materializing the O(T×m) posterior matrix. *)
+let log_likelihood t observations = forward_iter t observations ~emit:(fun _ _ -> ())

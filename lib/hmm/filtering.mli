@@ -17,16 +17,10 @@
 
 type t
 
-val create : ?kernel:Hmm.kernel_choice -> Hmm.t -> t
-(** Builds the dwell-corrected A' and its CSR mirror once. [`Auto]
-    (default) resolves through {!Kernel_cost.forward} on A's shape;
-    both kernels are bit-identical.
-
-    A [t] carries reusable scratch buffers: it is cheap to query
-    repeatedly but must not be shared across domains or re-entered from
-    a callback. *)
-
-val kernel : t -> Hmm.kernel
+val create : Hmm.t -> t
+(** Builds the dwell-corrected A' (from {!Hmm.dwell}) in CSR and CSC
+    form and the floored emission table, once. A [t] is immutable: it
+    may be shared freely, across domains too. *)
 
 val posteriors : t -> int option array -> float array array
 (** [posteriors f observations] — one normalized belief vector (over state
@@ -48,23 +42,18 @@ val log_likelihood : t -> int option array -> float
     one session's belief; {!Stream.step} advances it by one observation
     with exactly {!forward_iter}'s arithmetic, so a session stepped
     observation by observation is bit-identical to the offline recursion
-    on the whole sequence. {!Stream.step_many} advances many sessions
-    sharing one {!t} in a single batched kernel sweep (CSR traversal
-    amortized across sessions, fused monomorphic emission/normalize) —
-    bit-identical to calling {!Stream.step} on each session, measurably
-    faster per session·cycle.
+    on the whole sequence (that recursion is {!Stream.step} in a loop).
+    {!Stream.sweep} advances many sessions sharing one {!t} in a single
+    batched kernel sweep — bit-identical to calling {!Stream.step} on
+    each session, measurably faster per session·cycle.
 
     A [state] owns its buffers and holds no closures; {!Stream.export} /
     {!Stream.import} expose it as validated plain data for checkpointing
     (never [Marshal]-decode a [state] from an untrusted source). Stream
-    operations treat the shared [t] as read-only — they consult the
-    precomputed A' / emission tables but write only through the [state]s
-    passed in — so disjoint [state] sets may be stepped concurrently from
-    distinct domains even when they share one [t]; this is a contract the
-    serve engine relies on to shard one model's sessions across the pool.
-    Any future Stream change that writes to [t] (e.g. borrowing its
-    scratch buffers, which belong to the batch-analysis entry points and
-    keep their single-domain rule) breaks that contract. *)
+    operations write only through the [state]s passed in, never to the
+    immutable [t], so disjoint [state] sets may be stepped concurrently
+    from distinct domains even when they share one [t]; the serve engine
+    relies on this to shard one model's sessions across the pool. *)
 module Stream : sig
   type state
 
@@ -102,11 +91,6 @@ module Stream : sig
   (** Advance one observation ([None] = unclassified sample,
       uninformative). *)
 
-  val step_many : t -> state array -> int option array -> unit
-  (** [step_many t states obss] — one batched sweep: [states.(k)]
-      consumes [obss.(k)]. Bit-identical to stepping each session alone.
-      @raise Invalid_argument on length mismatch. *)
-
   val map_state : t -> state -> int
   (** Marginal MAP state row of the current belief (ties to the lowest
       row, as {!map_states}). *)
@@ -124,7 +108,7 @@ module Stream : sig
     rows:int array ->
     unit
   (** One scored batched sweep: advance every session one observation
-      ({!step_many}'s arithmetic exactly) and fill [powers.(k)] /
+      ({!step}'s arithmetic exactly) and fill [powers.(k)] /
       [rows.(k)] with what {!power} [~hamming:hds.(k)] / {!map_state}
       would return afterwards — computed inside the normalize pass, same
       visit order and guards, so all three outputs are bit-identical to

@@ -15,17 +15,7 @@
 
 type t
 
-type kernel = [ `Dense | `Sparse ]
-
-type kernel_choice = [ `Auto | `Dense | `Sparse ]
-(** [`Auto] resolves per algorithm through the measured cost model
-    ({!Kernel_cost}): forward filtering, Viterbi decoding and the
-    simulator each pick dense or sparse/indexed from (m, nnz, steps)
-    independently. Both kernels produce bit-identical results; [`Dense]
-    is kept as the reference implementation. *)
-
 val build :
-  ?kernel:kernel_choice ->
   ?transition_counts:((int * int) * float) list ->
   ?emission_counts:((int * int) * float) list ->
   Psm_core.Psm.t ->
@@ -73,17 +63,11 @@ val a_sparse : t -> Sparse.t
 (** The CSR mirror of A. Rebuilt on every mutation ({!ban},
     {!reset_bans}, {!unsafe_set_a}); do not hold across them. *)
 
-val kernel : t -> kernel
-(** The generic (predict-step) kernel resolution. Inference loops that
-    know their own cost profile — {!Filtering}, {!Offline},
-    {!Multi_sim} — re-resolve [`Auto] through {!Kernel_cost} instead. *)
-
-val kernel_pref : t -> kernel_choice
-(** The caller's preference as set by {!build} or {!set_kernel} —
-    [`Auto] unless a kernel was forced. *)
-
-val set_kernel : t -> kernel_choice -> unit
-(** Override the kernel choice (benchmarks and equivalence tests). *)
+val dwell : t -> float array
+(** Expected dwell per state row, in instants: the state's training
+    instants over its training visits, floored at 1.5. A counts state
+    {e changes}; {!Filtering} and {!Offline} derive their per-instant
+    self-loop mass from this. *)
 
 val b_entry : t -> int -> int -> float
 (** [b_entry t i prop] — probability mass of state row [i]'s
@@ -102,12 +86,7 @@ val initial_belief : t -> float array
 (** π as a belief vector (copy). *)
 
 val predict : t -> float array -> float array
-(** One filtering prediction step: belief × A, normalized. *)
-
-val update_entry : t -> float array -> prop:int -> float array
-(** Condition the belief on observing entry proposition [prop]
-    (multiply by [b_entry], normalize). An all-zero result (observation
-    impossible everywhere) is returned as all-zero rather than
+(** One filtering prediction step: belief × A (over the CSR mirror),
     normalized. *)
 
 val ban : t -> src_row:int -> dst_row:int -> unit

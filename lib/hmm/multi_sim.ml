@@ -101,21 +101,7 @@ module Stepper = struct
     mutable resync_events : int;
   }
 
-  let create ?(config = default) ?steps ?reference hmm =
-    let reference =
-      match reference with
-      | Some r -> r
-      | None -> (
-          (* Cost-based like the offline kernels: the indexed path wins
-             whenever scanning successor lists beats an O(m²) predict per
-             step, which is every mined chain; [`Reference] remains the
-             executable spec for near-dense tiny machines. *)
-          let nnz = Sparse.nnz (Hmm.a_sparse hmm) in
-          match Kernel_cost.multi_sim ?steps ~m:(Hmm.state_count hmm) ~nnz () with
-          | `Reference -> true
-          | `Indexed -> false)
-    in
-    Kernel_cost.record "multi_sim" (if reference then `Reference else `Indexed);
+  let create ?(config = default) ?(reference = false) hmm =
     Hmm.reset_bans hmm;
     let psm = Hmm.psm hmm in
     let table = Psm.prop_table psm in
@@ -558,8 +544,8 @@ module Stepper = struct
           | Invalid_argument _ -> Error "previous sample is not a bit string"
         end
 
-  let import ?config ?steps ?reference hmm p =
-    let t = create ?config ?steps ?reference hmm in
+  let import ?config hmm p =
+    let t = create ?config hmm in
     let m = Hmm.state_count hmm in
     let row_ok r = r >= 0 && r < m in
     if p.p_cycles < 0 || p.p_resync_events < 0 then
@@ -643,7 +629,7 @@ end
 let simulate ?config ?reference hmm trace =
   Psm_obs.span "hmm.multi_sim" @@ fun () ->
   let stepper =
-    Stepper.create ?config ~steps:(Functional_trace.length trace) ?reference hmm
+    Stepper.create ?config ?reference hmm
   in
   let n = Functional_trace.length trace in
   let estimate = Array.make n 0. in

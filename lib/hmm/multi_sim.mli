@@ -40,11 +40,11 @@ type result = {
 
 val simulate :
   ?config:config -> ?reference:bool -> Hmm.t -> Psm_trace.Functional_trace.t -> result
-(** [reference] forces the stepper path: [true] disables the precomputed
-    successor/entry indexes and runs the original transition-list scans —
-    the executable specification the equivalence tests compare against.
-    When omitted, {!Kernel_cost.multi_sim} decides from (m, nnz, trace
-    length); on every mined chain that is the indexed path. *)
+(** [reference] (default [false]) disables the precomputed
+    successor/entry indexes and runs the original transition-list scans
+    and a full {!Hmm.predict} per choice — the executable specification
+    that the equivalence tests and the bench compare the indexed stepper
+    against. No production path sets it. *)
 
 val simulate_timed :
   ?config:config -> Hmm.t -> Psm_trace.Functional_trace.t -> result * float
@@ -56,10 +56,9 @@ val simulate_timed :
 module Stepper : sig
   type t
 
-  val create : ?config:config -> ?steps:int -> ?reference:bool -> Hmm.t -> t
-  (** Resets the HMM's banned transitions. [reference] as in {!simulate};
-      [steps] is the expected cycle count, used only by the cost model
-      when [reference] is omitted. *)
+  val create : ?config:config -> ?reference:bool -> Hmm.t -> t
+  (** Resets the HMM's banned transitions. [reference] as in
+      {!simulate}. *)
 
   val step : t -> Psm_bits.Bits.t array -> float * int
   (** [step t sample] consumes one full interface sample (inputs then
@@ -108,9 +107,7 @@ module Stepper : sig
 
   val export : t -> portable
 
-  val import :
-    ?config:config -> ?steps:int -> ?reference:bool -> Hmm.t -> portable ->
-    (t, string) Stdlib.result
+  val import : ?config:config -> Hmm.t -> portable -> (t, string) Stdlib.result
   (** A stepper continuing exactly where {!export} was taken: every
       field is validated against [hmm]'s model (row bounds, cursor
       alternative/position bounds, ban-log bounds, sample widths) before

@@ -7,74 +7,16 @@ module Table = Psm_mining.Prop_trace.Table
    that training does support. *)
 let floor_p = 1e-9
 
-(* The PSM's A matrix is defined over state CHANGES (segment
-   boundaries); a per-instant lattice additionally needs the
-   probability of staying put. Expected dwell time per state comes
-   from its power attributes: n instants over k training visits. *)
-let dwell_of hmm =
-  let m = Hmm.state_count hmm in
-  let psm = Hmm.psm hmm in
-  Array.init m (fun row ->
-      let s = Psm.state psm (Hmm.state_of_row hmm row) in
-      let visits = max 1 (List.length s.Psm.attr.Psm_core.Power_attr.intervals) in
-      Float.max 1.5
-        (float_of_int s.Psm.attr.Psm_core.Power_attr.n /. float_of_int visits))
-
 let log_f v = log (Float.max v floor_p)
 
-let viterbi_dense hmm observations =
-  let m = Hmm.state_count hmm in
-  let n = Array.length observations in
-  let dwell = dwell_of hmm in
-  let log_a =
-    Array.init m (fun i ->
-        let stay = 1. -. (1. /. dwell.(i)) in
-        Array.init m (fun j ->
-            if i = j then log_f (Float.max stay (Hmm.a hmm i j))
-            else log_f ((1. -. stay) *. Hmm.a hmm i j)))
-  in
-  let emission row t =
-    match observations.(t) with
-    | None -> 0. (* uninformative *)
-    | Some prop -> log_f (Hmm.b_obs hmm row prop)
-  in
-  let score = Array.make_matrix n m neg_infinity in
-  let back = Array.make_matrix n m 0 in
-  let pi = Hmm.pi hmm in
-  for j = 0 to m - 1 do
-    score.(0).(j) <- log_f pi.(j) +. emission j 0
-  done;
-  for t = 1 to n - 1 do
-    for j = 0 to m - 1 do
-      let best = ref neg_infinity and arg = ref 0 in
-      for i = 0 to m - 1 do
-        let candidate = score.(t - 1).(i) +. log_a.(i).(j) in
-        if candidate > !best then begin
-          best := candidate;
-          arg := i
-        end
-      done;
-      score.(t).(j) <- !best +. emission j t;
-      back.(t).(j) <- !arg
-    done
-  done;
-  let path = Array.make n 0 in
-  let best = ref neg_infinity in
-  for j = 0 to m - 1 do
-    if score.(n - 1).(j) > !best then begin
-      best := score.(n - 1).(j);
-      path.(n - 1) <- j
-    end
-  done;
-  for t = n - 2 downto 0 do
-    path.(t) <- back.(t + 1).(path.(t + 1))
-  done;
-  path
+(* Max-product over the per-instant lattice. The PSM's A matrix is
+   defined over state CHANGES (segment boundaries); the lattice
+   additionally needs the probability of staying put, from each state's
+   expected dwell ({!Hmm.dwell}).
 
-(* Sparse max-product. Key observation: every ABSENT edge (i, j) has the
-   same log weight c = log floor_p (its dense entry is log_f 0.), so the
-   best absent predecessor of ANY column is determined by the previous
-   scores alone. The best absent predecessor of column j is the first row
+   Key observation: every ABSENT edge (i, j) has the same log weight
+   c = log floor_p (its dense entry is log_f 0.), so the best absent
+   predecessor of ANY column is determined by the previous scores alone. The best absent predecessor of column j is the first row
    NOT stored in column j when rows are ranked by (score desc, index
    asc) — and since column j stores at most [max_in] rows, that first
    absent row always sits within the top [max_in + 1] of the ranking. So
@@ -84,10 +26,10 @@ let viterbi_dense hmm observations =
    scan the stored incoming edges (CSC, diagonal always present) and take
    the first unstored row of the top-K list, reproducing the dense scan's
    lowest-index-strict-max tie-breaking exactly. *)
-let viterbi_sparse hmm observations =
+let max_product hmm observations =
   let m = Hmm.state_count hmm in
   let n = Array.length observations in
-  let dwell = dwell_of hmm in
+  let dwell = Hmm.dwell hmm in
   let c = log_f 0. in
   let csr = Hmm.a_sparse hmm in
   (* CSC of the log lattice: incoming (i, log weight) per column j,
@@ -124,17 +66,27 @@ let viterbi_sparse hmm observations =
         else emit j (log_f ((1. -. stay) *. v)));
     if not !has_diag then emit i (log_f stay)
   done;
-  let emission row t =
+  (* Log emissions per (proposition, row), computed once: the lattice
+     reads one row per instant. Out-of-vocabulary propositions (never
+     interned by training) get their floored row on the spot. *)
+  let nprops = Table.prop_count (Psm.prop_table (Hmm.psm hmm)) in
+  let log_b =
+    Array.init nprops (fun p -> Array.init m (fun row -> log_f (Hmm.b_obs hmm row p)))
+  in
+  let uninformative = Array.make m 0. in
+  let emission_row t =
     match observations.(t) with
-    | None -> 0.
-    | Some prop -> log_f (Hmm.b_obs hmm row prop)
+    | None -> uninformative
+    | Some p when p >= 0 && p < nprops -> log_b.(p)
+    | Some p -> Array.init m (fun row -> log_f (Hmm.b_obs hmm row p))
   in
   let back = Array.make_matrix n m 0 in
   let prev = Array.make m neg_infinity in
   let cur = Array.make m neg_infinity in
   let pi = Hmm.pi hmm in
+  let e0 = emission_row 0 in
   for j = 0 to m - 1 do
-    prev.(j) <- log_f pi.(j) +. emission j 0
+    prev.(j) <- log_f pi.(j) +. e0.(j)
   done;
   (* Top-K selection bound: a column stores at most [max_in] incoming
      rows, so its best absent predecessor is always within the best
@@ -174,6 +126,7 @@ let viterbi_sparse hmm observations =
         end
       end
     done;
+    let e = emission_row t in
     for j = 0 to m - 1 do
       let lo = col_ptr.(j) and hi = col_ptr.(j + 1) in
       (* Stored incoming edges, ascending i: dense tie-break is strict >. *)
@@ -206,7 +159,7 @@ let viterbi_sparse hmm observations =
           end
         end
       end;
-      cur.(j) <- !best +. emission j t;
+      cur.(j) <- !best +. e.(j);
       back.(t).(j) <- !arg
     done;
     Array.blit cur 0 prev 0 m
@@ -224,25 +177,8 @@ let viterbi_sparse hmm observations =
   done;
   path
 
-let viterbi ?kernel hmm observations =
-  if Array.length observations = 0 then [||]
-  else
-    let kernel =
-      match kernel with
-      | Some k -> k
-      | None -> (
-          match Hmm.kernel_pref hmm with
-          | (`Dense | `Sparse) as k -> k
-          | `Auto ->
-              let csr = Hmm.a_sparse hmm in
-              Kernel_cost.viterbi ~steps:(Array.length observations)
-                ~m:(Hmm.state_count hmm) ~nnz:(Sparse.nnz csr) ())
-    in
-    Kernel_cost.record "viterbi"
-      (kernel :> [ `Dense | `Sparse | `Reference | `Indexed ]);
-    match kernel with
-    | `Dense -> viterbi_dense hmm observations
-    | `Sparse -> viterbi_sparse hmm observations
+let viterbi hmm observations =
+  if Array.length observations = 0 then [||] else max_product hmm observations
 
 let classify_trace hmm trace =
   let table = Psm.prop_table (Hmm.psm hmm) in

@@ -12,7 +12,7 @@
     unit of work: every session with a pending observation advances
     exactly one cycle. Sessions are grouped by (model, mode); filter
     groups advance in {e one batched sparse sweep}
-    ({!Psm_hmm.Filtering.Stream.step_many} over the model's shared CSR
+    ({!Psm_hmm.Filtering.Stream.sweep} over the model's shared CSC
     kernel) and groups shard across the {!Psm_par} pool. {!drain} ticks
     until idle.
 

@@ -340,69 +340,57 @@ let test_accuracy_validates_lengths () =
        false
      with Invalid_argument _ -> true)
 
-(* ---------- kernel selection ---------- *)
+(* ---------- production kernels vs the dense oracle ---------- *)
 
-let test_kernel_selection () =
-  let values = [ 0; 0; 1; 1; 2; 2; 0; 0; 1; 1; 2; 2 ] in
-  let _, _, _, psm = train values (List.map (fun v -> 10. ** float_of_int v) values) in
+module Oracle = Psm_oracle
+
+(* The production kernels are sparse, so a fully dense A is the shape
+   they are least tuned for: every CSR row holds m entries. They must
+   still return exactly the dense oracle's floats and paths. *)
+let fill_dense hmm =
+  let m = Hmm.state_count hmm in
+  for i = 0 to m - 1 do
+    let weights = Array.init m (fun j -> float_of_int (1 + (((i * 7) + (j * 3)) mod 5))) in
+    let total = Array.fold_left ( +. ) 0. weights in
+    Array.iteri (fun j w -> Hmm.unsafe_set_a hmm ~row:i ~col:j (w /. total)) weights
+  done
+
+let test_dense_a_matches_oracle () =
+  let values = [ 0; 0; 1; 1; 1; 2; 2; 3; 3; 3; 0; 0; 2; 2; 1; 1; 3; 3 ] in
+  let table, trace, _, psm = train values (List.map (fun v -> float_of_int ((v * 2) + 1)) values) in
   let hmm = Hmm.build psm in
-  (* Mined chains are sparse: auto picks the CSR kernel. *)
-  check_bool "auto picks sparse" true (Hmm.kernel hmm = `Sparse);
-  Hmm.set_kernel hmm `Dense;
-  check_bool "forced dense" true (Hmm.kernel hmm = `Dense);
-  Hmm.set_kernel hmm `Auto;
-  check_bool "auto again" true (Hmm.kernel hmm = `Sparse);
-  let csr = Hmm.a_sparse hmm in
-  check_bool "density consistent" true
-    (Psm_hmm.Sparse.density csr <= Psm_hmm.Sparse.dense_threshold);
-  check_int "nnz matches dense"
-    (let m = Hmm.state_count hmm in
-     let count = ref 0 in
-     for i = 0 to m - 1 do
-       for j = 0 to m - 1 do
-         if Hmm.a hmm i j <> 0. then incr count
-       done
-     done;
-     !count)
-    (Psm_hmm.Sparse.nnz csr)
-
-(* ---------- kernel cost model ---------- *)
-
-module Kernel_cost = Psm_hmm.Kernel_cost
-
-let test_kernel_cost_crossovers () =
-  (* The measured winners from bench/probe.ml on the bundled IPs (m, nnz
-     of the trained models; see DESIGN.md §13). *)
-  check_bool "forward Camellia shape -> sparse" true
-    (Kernel_cost.forward ~m:12 ~nnz:60 () = `Sparse);
-  check_bool "viterbi Camellia shape -> sparse" true
-    (Kernel_cost.viterbi ~steps:120_000 ~m:12 ~nnz:60 () = `Sparse);
-  check_bool "viterbi AES shape (tiny, half dense) -> dense" true
-    (Kernel_cost.viterbi ~steps:120_000 ~m:4 ~nnz:8 () = `Dense);
-  check_bool "multi_sim Camellia shape -> indexed" true
-    (Kernel_cost.multi_sim ~steps:120_000 ~m:12 ~nnz:60 () = `Indexed);
-  (* Fully dense matrices: the sparse detour only adds indirection. *)
-  check_bool "forward full-dense -> dense" true
-    (Kernel_cost.forward ~m:4 ~nnz:16 () = `Dense);
-  check_bool "viterbi full-dense -> dense" true
-    (Kernel_cost.viterbi ~m:4 ~nnz:16 () = `Dense);
-  (* Asymptotics: a large sparse chain picks sparse for everything. *)
-  check_bool "forward large chain -> sparse" true
-    (Kernel_cost.forward ~m:1000 ~nnz:3000 () = `Sparse);
-  check_bool "viterbi large chain -> sparse" true
-    (Kernel_cost.viterbi ~m:1000 ~nnz:3000 () = `Sparse);
-  check_bool "multi_sim large chain -> indexed" true
-    (Kernel_cost.multi_sim ~m:1000 ~nnz:3000 () = `Indexed)
-
-let test_kernel_pref_roundtrip () =
-  let values = [ 0; 0; 1; 1; 2; 2; 0; 0; 1; 1; 2; 2 ] in
-  let _, _, _, psm = train values (List.map (fun v -> 10. ** float_of_int v) values) in
-  let hmm = Hmm.build psm in
-  check_bool "default pref auto" true (Hmm.kernel_pref hmm = `Auto);
-  Hmm.set_kernel hmm `Dense;
-  check_bool "forced pref sticks" true (Hmm.kernel_pref hmm = `Dense);
-  Hmm.set_kernel hmm `Auto;
-  check_bool "pref restored" true (Hmm.kernel_pref hmm = `Auto)
+  fill_dense hmm;
+  let m = Hmm.state_count hmm in
+  check_int "A is fully dense" (m * m) (Psm_hmm.Sparse.nnz (Hmm.a_sparse hmm));
+  let obs =
+    Array.init (FT.length trace) (fun time ->
+        if time mod 4 = 3 then None
+        else Table.classify (Psm.prop_table psm) (FT.sample trace ~time))
+  in
+  let f = Psm_hmm.Filtering.create hmm in
+  let oracle = Oracle.Forward.create hmm in
+  check_bool "posteriors = dense oracle" true
+    (Psm_hmm.Filtering.posteriors f obs = Oracle.Forward.posteriors oracle obs);
+  check_bool "log likelihood = dense oracle" true
+    (Psm_hmm.Filtering.log_likelihood f obs = Oracle.Forward.log_likelihood oracle obs);
+  check_bool "viterbi path = dense oracle" true
+    (Psm_hmm.Offline.viterbi hmm obs = Oracle.viterbi hmm obs);
+  (* [simulate] starts from [Stepper.create], which resets A to the
+     trained matrix, so the dense fill goes in after creation. The
+     reversed trace drives the resync, ban and fallback-jump paths. *)
+  let run ~reference tr =
+    let copy = Hmm.copy hmm in
+    let stepper = Multi_sim.Stepper.create ~reference copy in
+    fill_dense copy;
+    let steps = ref [] in
+    FT.iter (fun _ sample -> steps := Multi_sim.Stepper.step stepper sample :: !steps) tr;
+    (!steps, Multi_sim.Stepper.wrong_instants stepper, Multi_sim.Stepper.resync_events stepper)
+  in
+  List.iter
+    (fun tr ->
+      check_bool "indexed stepper = reference on dense A" true
+        (run ~reference:false tr = run ~reference:true tr))
+    [ trace; trace_of table (List.rev values) ]
 
 let test_viterbi_adversarial_ties () =
   (* All-uniform rows make every predecessor score tie at every step:
@@ -419,15 +407,13 @@ let test_viterbi_adversarial_ties () =
   done;
   (* Uninformative observations keep the scores tied throughout. *)
   let obs = Array.make 200 None in
-  let dense = Psm_hmm.Offline.viterbi ~kernel:`Dense hmm obs in
-  let sparse = Psm_hmm.Offline.viterbi ~kernel:`Sparse hmm obs in
-  check_bool "tied lattice: sparse = dense" true (dense = sparse);
+  check_bool "tied lattice: sparse = dense" true
+    (Psm_hmm.Offline.viterbi hmm obs = Oracle.viterbi hmm obs);
   (* Same check on a sparse-with-ties lattice: uniform over a chain. *)
   Hmm.reset_bans hmm;
   let obs2 = Array.init 200 (fun t -> if t mod 3 = 0 then None else Some 0) in
   check_bool "chain with tied emissions: sparse = dense" true
-    (Psm_hmm.Offline.viterbi ~kernel:`Dense hmm obs2
-    = Psm_hmm.Offline.viterbi ~kernel:`Sparse hmm obs2)
+    (Psm_hmm.Offline.viterbi hmm obs2 = Oracle.viterbi hmm obs2)
 
 (* ---------- properties ---------- *)
 
@@ -485,22 +471,11 @@ let properties =
               if time mod 5 = 4 then None
               else Table.classify (Psm.prop_table psm) (FT.sample trace ~time))
         in
-        let dense = Psm_hmm.Filtering.create ~kernel:`Dense hmm in
-        let sparse = Psm_hmm.Filtering.create ~kernel:`Sparse hmm in
-        let rel_close a b =
-          a = b
-          || abs_float (a -. b)
-             <= 1e-12 *. Float.max 1. (Float.max (abs_float a) (abs_float b))
-        in
-        let pd = Psm_hmm.Filtering.posteriors dense obs in
-        let ps = Psm_hmm.Filtering.posteriors sparse obs in
-        let posteriors_ok =
-          Array.for_all2 (fun rd rs -> Array.for_all2 rel_close rd rs) pd ps
-        in
-        posteriors_ok
-        && rel_close
-             (Psm_hmm.Filtering.log_likelihood dense obs)
-             (Psm_hmm.Filtering.log_likelihood sparse obs));
+        let dense = Oracle.Forward.create hmm in
+        let sparse = Psm_hmm.Filtering.create hmm in
+        Oracle.Forward.posteriors dense obs = Psm_hmm.Filtering.posteriors sparse obs
+        && Oracle.Forward.log_likelihood dense obs
+           = Psm_hmm.Filtering.log_likelihood sparse obs);
     prop "sparse viterbi ≡ dense viterbi" arb_values (fun values ->
         QCheck.assume (List.length values >= 4);
         let powers = List.map (fun v -> float_of_int ((v * 2) + 1)) values in
@@ -511,9 +486,7 @@ let properties =
               if time mod 7 = 6 then None
               else Table.classify (Psm.prop_table psm) (FT.sample trace ~time))
         in
-        let dense = Psm_hmm.Offline.viterbi ~kernel:`Dense hmm obs in
-        let sparse = Psm_hmm.Offline.viterbi ~kernel:`Sparse hmm obs in
-        dense = sparse);
+        Oracle.viterbi hmm obs = Psm_hmm.Offline.viterbi hmm obs);
     prop "indexed multi-sim ≡ reference multi-sim" arb_values (fun values ->
         QCheck.assume (List.length values >= 4);
         let powers = List.map (fun v -> float_of_int (v + 1)) values in
@@ -538,9 +511,7 @@ let suite =
       Alcotest.test_case "B entry emission" `Quick test_hmm_b_entry;
       Alcotest.test_case "predict normalized" `Quick test_hmm_predict_normalized;
       Alcotest.test_case "ban and reset" `Quick test_hmm_ban_and_reset;
-      Alcotest.test_case "kernel selection" `Quick test_kernel_selection;
-      Alcotest.test_case "kernel cost crossovers" `Quick test_kernel_cost_crossovers;
-      Alcotest.test_case "kernel pref roundtrip" `Quick test_kernel_pref_roundtrip;
+      Alcotest.test_case "dense A matches oracle" `Quick test_dense_a_matches_oracle;
       Alcotest.test_case "viterbi adversarial ties" `Quick test_viterbi_adversarial_ties;
       Alcotest.test_case "transition count weighting" `Quick test_hmm_transition_counts_weighting;
       Alcotest.test_case "replay training" `Quick test_multi_sim_replays_training;
