@@ -17,7 +17,7 @@ let check_determinism (ctx : Rule.context) =
   let emit x = findings := x :: !findings in
   List.iter
     (fun (s : Psm.state) ->
-      let out = Scan.successors ctx.Rule.scan s.Psm.id in
+      let out = Psm.successors psm s.Psm.id in
       List.iter
         (fun (tr : Psm.transition) ->
           if tr.Psm.guard < 0 || tr.Psm.guard >= nprops then
@@ -141,7 +141,7 @@ let check_stall (ctx : Rule.context) =
         (fun (s : Psm.state) ->
           let guards =
             List.map (fun (tr : Psm.transition) -> tr.Psm.guard)
-              (Scan.successors ctx.Rule.scan s.Psm.id)
+              (Psm.successors psm s.Psm.id)
           in
           List.concat_map
             (fun (trace, runs) ->

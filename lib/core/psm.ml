@@ -70,7 +70,19 @@ let initial t = t.initial
 let state_count t = IntMap.cardinal t.states
 let transition_count t = TransSet.cardinal t.transitions
 
-let successors t id = List.filter (fun tr -> tr.src = id) (transitions t)
+(* Out-edges are one contiguous range of the (src, guard, dst)-ordered
+   set: seek to its start and stop at the first other source. *)
+let successors t id =
+  let rec take acc visited seq =
+    match seq () with
+    | Seq.Cons ((src, guard, dst), rest) when src = id ->
+        take ({ src; guard; dst } :: acc) (visited + 1) rest
+    | _ ->
+        Psm_obs.count "psm.edge_visits" (visited + 1);
+        List.rev acc
+  in
+  take [] 0 (TransSet.to_seq_from (id, min_int, min_int) t.transitions)
+
 let predecessors t id = List.filter (fun tr -> tr.dst = id) (transitions t)
 
 let machine_count t =

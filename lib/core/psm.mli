@@ -79,7 +79,13 @@ val state_count : t -> int
 val transition_count : t -> int
 
 val successors : t -> int -> transition list
+(** Outgoing transitions in [(src, guard, dst)] order ([[]] for an
+    unknown id), by a range scan: O(log T + out-degree). Adds the edges it
+    visits (out-degree + 1) to the {!Psm_obs} counter [psm.edge_visits]. *)
+
 val predecessors : t -> int -> transition list
+(** Incoming transitions, same order. A filter over every transition:
+    O(T) per call; no production code calls it. *)
 
 val machine_count : t -> int
 (** Number of weakly-connected components — the number of constituent

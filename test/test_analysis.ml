@@ -331,6 +331,48 @@ let test_persist_roundtrip_lint_clean () =
   let findings = Analyzer.analyze ~hmm:model.Persist.hmm model.Persist.psm in
   check_int "clean after save + load" 0 (errors_of findings)
 
+(* ---------- successor lookups stay linear ---------- *)
+
+(* A raw generated chain is thousands of states long, and several rules
+   walk every state's out-edges. Counting the edges [Psm.successors]
+   visits (not timing the run) pins the whole default rule set to linear
+   work: a per-state filter over all transitions would visit ~n² edges
+   here (4·10⁸ per rule). *)
+let test_successor_visits_linear () =
+  let _iface, table, p_hi, p_lo = tiny_table () in
+  let n = 20_000 in
+  let psm = ref (Psm.empty table) in
+  for i = 0 to n - 1 do
+    psm :=
+      fst
+        (Psm.add_state !psm (Assertion.Until (p_hi, p_lo))
+           (attr ~mu:1. ~trace:0 ~start:i ~stop:i ()))
+  done;
+  for i = 0 to n - 2 do
+    let guard = if i mod 2 = 0 then p_lo else p_hi in
+    psm := Psm.add_transition !psm ~src:i ~guard ~dst:(i + 1)
+  done;
+  let psm = Psm.add_initial !psm 0 in
+  let visits =
+    Psm_obs.enable ();
+    Psm_obs.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Psm_obs.disable ();
+        Psm_obs.reset ())
+      (fun () ->
+        ignore (Analyzer.analyze psm);
+        List.assoc_opt "psm.edge_visits" (Psm_obs.snapshot ()).Psm_obs.counters
+        |> Option.value ~default:0.
+        |> int_of_float)
+  in
+  let size = Psm.state_count psm + Psm.transition_count psm in
+  check_bool "every state's out-edges were read" true (visits >= n);
+  check_bool
+    (Printf.sprintf "%d edge visits <= 4 x %d (states + transitions)" visits size)
+    true
+    (visits <= 4 * size)
+
 (* ---------- the pipeline invariant, as a QCheck property ---------- *)
 
 let arb_training_set =
@@ -395,5 +437,7 @@ let suite =
       Alcotest.test_case "registry lists builtins" `Quick test_registry_lists_builtins;
       Alcotest.test_case "parallel report identical" `Quick test_parallel_report_identical;
       Alcotest.test_case "persist round-trip stays clean" `Quick
-        test_persist_roundtrip_lint_clean ]
+        test_persist_roundtrip_lint_clean;
+      Alcotest.test_case "successor visits linear in model size" `Quick
+        test_successor_visits_linear ]
     @ properties )

@@ -661,6 +661,22 @@ let arb_prop_sequence =
       list_size (int_range 2 80)
         (map (fun v -> v mod 6) (int_bound 5)))
 
+(* Random transition sets: [n] states, edges over guards 0..5, and how
+   many disjoint state pairs to merge. *)
+let arb_transition_set =
+  QCheck.make
+    ~print:(fun (n, edges, pairs) ->
+      Printf.sprintf "n=%d pairs=%d edges=[%s]" n pairs
+        (String.concat "; "
+           (List.map (fun (s, g, d) -> Printf.sprintf "%d-%d->%d" s g d) edges)))
+    QCheck.Gen.(
+      let* n = int_range 1 12 in
+      let* edges =
+        list_size (int_bound 40) (triple (int_bound (n - 1)) (int_bound 5) (int_bound (n - 1)))
+      in
+      let* pairs = int_bound 3 in
+      return (n, edges, pairs))
+
 (* Random assertion trees exercising the smart-constructor invariants:
    leaves over a small prop universe, Seq/Alt built through the raw
    constructors so [seq]/[alt] have real flattening work to do. *)
@@ -815,6 +831,49 @@ let properties =
         let joined = Join.join simplified in
         Psm.state_count joined <= Psm.state_count simplified
         && Psm.machine_count joined >= 1);
+    prop "successors = filter over every transition" arb_transition_set
+      (fun (n, edges, pairs) ->
+        let psm = ref (Psm.empty (empty_world ())) in
+        for i = 0 to n - 1 do
+          (* Reversed training positions, so [renumber] permutes ids. *)
+          let start = 2 * (n - 1 - i) in
+          psm :=
+            fst
+              (Psm.add_state !psm (Assertion.Until (0, 1))
+                 { (attr 1. 1) with
+                   Power_attr.intervals = [ { Power_attr.trace = 0; start; stop = start } ] })
+        done;
+        let base =
+          List.fold_left
+            (fun p (src, guard, dst) -> Psm.add_transition p ~src ~guard ~dst)
+            !psm edges
+        in
+        let clusters =
+          List.init (min pairs (n / 2)) (fun k ->
+              { Psm.members = [ 2 * k; (2 * k) + 1 ];
+                new_assertion = Assertion.Until (1, 2);
+                new_attr = attr 2. 2;
+                new_components = [] })
+        in
+        let merged mode = fst (Psm.merge_clusters base ~internal_edges:mode clusters) in
+        let renumbered = fst (Psm.renumber base) in
+        let agrees p =
+          let hi =
+            List.fold_left (fun acc (s : Psm.state) -> max acc s.Psm.id) 0 (Psm.states p)
+          in
+          List.for_all
+            (fun id ->
+              Psm.successors p id
+              = List.filter (fun (tr : Psm.transition) -> tr.Psm.src = id) (Psm.transitions p))
+            (min_int :: max_int :: List.init (hi + 4) (fun i -> i - 2))
+        in
+        List.for_all agrees
+          [ base;
+            renumbered;
+            Psm.union [ base; renumbered; base ];
+            merged `Drop;
+            merged `Self_loop;
+            fst (Psm.renumber (merged `Self_loop)) ]);
     prop "merge is symmetric"
       (QCheck.pair (QCheck.pair (QCheck.float_range 0.1 100.) (QCheck.int_range 1 50))
          (QCheck.pair (QCheck.float_range 0.1 100.) (QCheck.int_range 1 50)))
