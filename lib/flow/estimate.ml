@@ -80,7 +80,7 @@ let step_sample t sample =
   | Sim st -> Multi_sim.Stepper.step st sample
   | Filter (filt, s) -> (
       match t.memo with
-      | Some (prev, obs) when Psm_trace.Runs.use () && same_sample prev sample ->
+      | Some (prev, obs) when same_sample prev sample ->
           (* Identical sample: Hamming 0 and the same classification; the
              numeric forward recursion still advances per cycle. *)
           Filtering.Stream.step filt s obs;

@@ -125,6 +125,7 @@ type table2_row = {
   px_s : float;
   capture_s : float;
   gen_s : float;
+  analyze_s : float;
   states : int;
   transitions : int;
   mre : float;
@@ -177,6 +178,7 @@ let table2_row ?(config = Flow.default) ~total_length ~long spec =
     px_s;
     capture_s;
     gen_s = Flow.total_generation_s trained.Flow.timings;
+    analyze_s = trained.Flow.timings.Flow.analyze_s;
     states = Psm.state_count trained.Flow.optimized;
     transitions = Psm.transition_count trained.Flow.optimized;
     mre = errsum /. float_of_int total }

@@ -219,6 +219,20 @@ let int_word cursor w =
 let float_word cursor w =
   match float_of_string_opt w with Some v -> v | None -> fail cursor ("bad float " ^ w)
 
+(* A training frequency: finite and non-negative. *)
+let count_word cursor w =
+  let c = float_word cursor w in
+  if Float.is_finite c && c >= 0. then c else fail cursor ("bad count " ^ w)
+
+(* An id that must name one of [n] already-declared entities. *)
+let check_id cursor ~what ~n id =
+  if id < 0 || id >= n then fail cursor (Printf.sprintf "unknown %s %d" what id)
+
+let id_word cursor ~what ~n w =
+  let id = int_word cursor w in
+  check_id cursor ~what ~n id;
+  id
+
 let read ?(source = "<string>") cursor =
   (match next cursor with
   | line when line = version_line -> ()
@@ -279,6 +293,10 @@ let read ?(source = "<string>") cursor =
         if id <> expected then fail cursor "duplicate proposition row"
     | _ -> fail cursor "bad prop line"
   done;
+  let check_props assertion =
+    List.iter (check_id cursor ~what:"proposition" ~n:n_props) (Assertion.props assertion);
+    assertion
+  in
   (* States. *)
   let n_states = expect_count cursor "states" in
   let psm = ref (Psm.empty table) in
@@ -300,7 +318,7 @@ let read ?(source = "<string>") cursor =
     if id <> expected then fail cursor "states out of order";
     let assertion =
       match words (next cursor) with
-      | "assert" :: rest -> parse_assertion (String.concat " " rest)
+      | "assert" :: rest -> check_props (parse_assertion (String.concat " " rest))
       | _ -> fail cursor "expected assert line"
     in
     let n_ivs = expect_count cursor "intervals" in
@@ -324,7 +342,7 @@ let read ?(source = "<string>") cursor =
                   n = int_word cursor n;
                   intervals = [] }
               in
-              (parse_assertion (String.concat " " rest), attr)
+              (check_props (parse_assertion (String.concat " " rest)), attr)
           | _ -> fail cursor "bad component line")
     in
     let attr = { Power_attr.mu; sigma; n; intervals } in
@@ -332,40 +350,41 @@ let read ?(source = "<string>") cursor =
     if new_id <> expected then fail cursor "state id drift";
     psm := psm'
   done;
+  let state = id_word cursor ~what:"state" ~n:n_states in
+  let prop = id_word cursor ~what:"proposition" ~n:n_props in
   (* Transitions / initial. *)
   let n_tr = expect_count cursor "transitions" in
   for _ = 1 to n_tr do
     match words (next cursor) with
     | [ "t"; src; guard; dst ] ->
-        psm :=
-          Psm.add_transition !psm ~src:(int_word cursor src)
-            ~guard:(int_word cursor guard) ~dst:(int_word cursor dst)
+        psm := Psm.add_transition !psm ~src:(state src) ~guard:(prop guard) ~dst:(state dst)
     | _ -> fail cursor "bad transition line"
   done;
   let n_init = expect_count cursor "initial" in
   for _ = 1 to n_init do
     match words (next cursor) with
-    | [ "i"; id ] -> psm := Psm.add_initial !psm (int_word cursor id)
+    | [ "i"; id ] -> psm := Psm.add_initial !psm (state id)
     | _ -> fail cursor "bad initial line"
   done;
-  (* Counts. *)
+  (* Counts. A row whose state is [-1] stands for a raw-chain id that
+     did not survive combination; [save] writes it and it is skipped. *)
   let n_ct = expect_count cursor "counts-trans" in
   let transition_counts =
     List.init n_ct (fun _ ->
         match words (next cursor) with
-        | [ "ct"; src; dst; c ] ->
-            ((int_word cursor src, int_word cursor dst), float_word cursor c)
+        | [ "ct"; "-1"; "-1"; c ] -> ignore (count_word cursor c : float); None
+        | [ "ct"; src; dst; c ] -> Some ((state src, state dst), count_word cursor c)
         | _ -> fail cursor "bad count line")
-    |> List.filter (fun ((s, _), _) -> s >= 0)
+    |> List.filter_map Fun.id
   in
   let n_ce = expect_count cursor "counts-emit" in
   let emission_counts =
     List.init n_ce (fun _ ->
         match words (next cursor) with
-        | [ "ce"; state; prop; c ] ->
-            ((int_word cursor state, int_word cursor prop), float_word cursor c)
+        | [ "ce"; "-1"; "-1"; c ] -> ignore (count_word cursor c : float); None
+        | [ "ce"; s; p; c ] -> Some ((state s, prop p), count_word cursor c)
         | _ -> fail cursor "bad emission line")
-    |> List.filter (fun ((s, _), _) -> s >= 0)
+    |> List.filter_map Fun.id
   in
   if next cursor <> "end" then raise (Parse_error "missing end marker");
   let psm = !psm in

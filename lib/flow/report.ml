@@ -52,12 +52,13 @@ let table1 rows =
 
 let table2_cells (r : Experiment.table2_row) =
   [ r.t2_name; string_of_int r.ts; seconds r.px_s; seconds r.capture_s;
-    seconds r.gen_s; string_of_int r.states; string_of_int r.transitions;
+    seconds r.gen_s; seconds r.analyze_s; string_of_int r.states; string_of_int r.transitions;
     percent r.mre ]
 
 let table2 rows =
   let header =
-    [ "IP"; "TS"; "PX (s)"; "Capture (s)"; "PSMs gen. (s)"; "States"; "Trans."; "MRE" ]
+    [ "IP"; "TS"; "PX (s)"; "Capture (s)"; "PSMs gen. (s)"; "Analysis (s)"; "States";
+      "Trans."; "MRE" ]
   in
   match rows with
   | [ _; _; _; _; _; _; _; _ ] ->

@@ -4,7 +4,6 @@ module Functional_trace = Psm_trace.Functional_trace
 module Interface = Psm_trace.Interface
 module Table = Psm_mining.Prop_trace.Table
 module Bits = Psm_bits.Bits
-module Runs = Psm_trace.Runs
 
 let same_sample a b = Array.length a = Array.length b && Array.for_all2 Bits.equal a b
 
@@ -438,7 +437,7 @@ module Stepper = struct
 
   let step t sample =
     match t.memo with
-    | Some (prev, obs) when Runs.use () && same_sample prev sample ->
+    | Some (prev, obs) when same_sample prev sample ->
         (* Identical sample: inputs unchanged (Hamming 0) and the same
            truth row classifies identically; [prev_inputs] already holds
            an equal array, so the reference updates are all no-ops. *)

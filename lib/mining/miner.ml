@@ -2,7 +2,6 @@ module Bits = Psm_bits.Bits
 module Functional_trace = Psm_trace.Functional_trace
 module Interface = Psm_trace.Interface
 module Signal = Psm_trace.Signal
-module Runs = Psm_trace.Runs
 
 type config = {
   min_support : float;
@@ -129,9 +128,6 @@ module Value_counter = struct
       t.table init
 end
 
-let total_length traces =
-  List.fold_left (fun acc t -> acc + Functional_trace.length t) 0 traces
-
 let stats_of ~total atom occ runs short_runs =
   { atom;
     support = float_of_int occ /. float_of_int total;
@@ -145,56 +141,8 @@ let narrow_signal config iface s =
 
 let short_below_of config = int_of_float (ceil config.min_mean_run)
 
-(* Candidate extraction from finished per-signal counters. The fold
-   order (and hence the candidate list order) is a function of the
-   observation sequence only, so any path that feeds the counters the
-   same samples in the same order yields the same list. *)
-let consts_of_counters ~total counters =
-  let candidates = ref [] in
-  Array.iteri
-    (fun s counter ->
-      Value_counter.fold
-        (fun v (c : Value_counter.cell) () ->
-          candidates :=
-            stats_of ~total (Atomic.eq_const s v) c.occ c.runs c.short_runs :: !candidates)
-        counter ())
-    counters;
-  !candidates
-
-let const_candidates config traces iface total =
-  Psm_obs.span "mine.consts" @@ fun () ->
-  let arity = Interface.arity iface in
-  let short_below = short_below_of config in
-  let counters = Array.init arity (fun _ -> Value_counter.create ~short_below ()) in
-  let narrow = narrow_signal config iface in
-  (* Offset the per-trace times so that runs cannot bridge traces. *)
-  let offset = ref 0 in
-  List.iter
-    (fun trace ->
-      if Runs.use () then
-        (* A run of identical samples is a run of identical values on
-           every signal; one bulk observation per signal per run. *)
-        Functional_trace.iter_runs
-          (fun ~start ~len sample ->
-            Array.iteri
-              (fun s v ->
-                if narrow s then
-                  Value_counter.observe_run counters.(s) (!offset + start) v len)
-              sample)
-          trace
-      else
-        Functional_trace.iter
-          (fun time sample ->
-            Array.iteri
-              (fun s v -> if narrow s then Value_counter.observe counters.(s) (!offset + time) v)
-              sample)
-          trace;
-      offset := !offset + Functional_trace.length trace + 2)
-    traces;
-  consts_of_counters ~total counters
-
-(* Mutable run accumulator mirroring [predicate_stats]'s counters, one per
-   atom, so a single trace pass can score many atoms at once. *)
+(* Mutable run accumulator for one atom's truth sequence, one per atom,
+   so a single trace pass can score many atoms at once. *)
 module Run_acc = struct
   type t = {
     mutable occ : int;
@@ -248,65 +196,6 @@ module Run_acc = struct
     end
 end
 
-(* One fused pass over all traces scoring every (pair x {=,<,>}) atom of
-   [pairs]: each sample costs one three-way [Bits.compare] per pair
-   instead of three predicate evaluations in three separate trace
-   passes. Produces exactly [predicate_stats]'s counts per atom. *)
-(* Stats list construction shared by the chunked batch path and the
-   incremental accumulator: ⟨=, <, >⟩ per pair, in pair order. *)
-let pair_stats_list ~total (pairs : (int * int) array) eqs lts gts =
-  List.concat
-    (Array.to_list
-       (Array.mapi
-          (fun j (a, b) ->
-            List.map
-              (fun (cmp, (acc : Run_acc.t)) ->
-                stats_of ~total (Atomic.compare_signals cmp a b) acc.Run_acc.occ
-                  acc.Run_acc.runs acc.Run_acc.short_runs)
-              [ (Atomic.Eq, eqs.(j)); (Atomic.Lt, lts.(j)); (Atomic.Gt, gts.(j)) ])
-          pairs))
-
-let pair_chunk_stats ~short_below ~total traces (pairs : (int * int) array) =
-  Psm_obs.span "mine.pair_chunk" @@ fun () ->
-  let k = Array.length pairs in
-  let eqs = Array.init k (fun _ -> Run_acc.create ()) in
-  let lts = Array.init k (fun _ -> Run_acc.create ()) in
-  let gts = Array.init k (fun _ -> Run_acc.create ()) in
-  List.iter
-    (fun trace ->
-      if Runs.use () then
-        (* Identical samples compare identically: one three-way compare
-           per pair per run, bulk-stepped over the run length. *)
-        Functional_trace.iter_runs
-          (fun ~start:_ ~len sample ->
-            for j = 0 to k - 1 do
-              let a, b = Array.unsafe_get pairs j in
-              let c = Bits.compare (Array.unsafe_get sample a) (Array.unsafe_get sample b) in
-              Run_acc.step_run ~short_below (Array.unsafe_get eqs j) (c = 0) len;
-              Run_acc.step_run ~short_below (Array.unsafe_get lts j) (c < 0) len;
-              Run_acc.step_run ~short_below (Array.unsafe_get gts j) (c > 0) len
-            done)
-          trace
-      else
-        Functional_trace.iter
-          (fun _ sample ->
-            for j = 0 to k - 1 do
-              let a, b = Array.unsafe_get pairs j in
-              let c = Bits.compare (Array.unsafe_get sample a) (Array.unsafe_get sample b) in
-              Run_acc.step ~short_below (Array.unsafe_get eqs j) (c = 0);
-              Run_acc.step ~short_below (Array.unsafe_get lts j) (c < 0);
-              Run_acc.step ~short_below (Array.unsafe_get gts j) (c > 0)
-            done)
-          trace;
-      Array.iter (Run_acc.boundary ~short_below) eqs;
-      Array.iter (Run_acc.boundary ~short_below) lts;
-      Array.iter (Run_acc.boundary ~short_below) gts)
-    traces;
-  Array.iter (Run_acc.close_pending ~short_below) eqs;
-  Array.iter (Run_acc.close_pending ~short_below) lts;
-  Array.iter (Run_acc.close_pending ~short_below) gts;
-  pair_stats_list ~total pairs eqs lts gts
-
 let signal_pairs config iface =
   let signals = Interface.signals iface in
   let pairs = ref [] in
@@ -321,41 +210,6 @@ let signal_pairs config iface =
     signals;
   Array.of_list !pairs
 
-let pair_candidates ?pool config traces iface total =
-  Psm_obs.span "mine.pairs" @@ fun () ->
-  let pair_arr = signal_pairs config iface in
-  let npairs = Array.length pair_arr in
-  if npairs = 0 then []
-  else begin
-    let short_below = short_below_of config in
-    (* Materialize the lazy run caches before fanning out: domains share
-       the trace values, and the cache write is not synchronized. *)
-    if Runs.use () then
-      List.iter (fun trace -> ignore (Functional_trace.runs trace)) traces;
-    (* Parallelize by chunking the pair set across domains; every chunk
-       makes its own fused trace pass, and chunk results concatenate in
-       pair order, so the output is identical at any job count. *)
-    let jobs = min (Psm_par.effective_jobs ?pool ()) npairs in
-    let chunk = (npairs + jobs - 1) / jobs in
-    let nchunks = (npairs + chunk - 1) / chunk in
-    let chunks =
-      Array.init nchunks (fun c ->
-          Array.sub pair_arr (c * chunk) (min chunk (npairs - (c * chunk))))
-    in
-    Psm_par.parallel_map_array ?pool (pair_chunk_stats ~short_below ~total traces) chunks
-    |> Array.to_list |> List.concat
-  end
-
-let candidate_stats ?pool ?(config = default) traces =
-  let iface = check_traces traces in
-  let total = total_length traces in
-  if total = 0 then invalid_arg "Miner: empty training traces";
-  let consts = const_candidates config traces iface total in
-  let pairs =
-    if config.mine_pairs then pair_candidates ?pool config traces iface total else []
-  in
-  consts @ pairs
-
 let passes config s =
   s.support >= config.min_support
   && s.mean_run >= config.min_mean_run
@@ -363,9 +217,7 @@ let passes config s =
      || float_of_int s.short_runs /. float_of_int s.runs
         <= config.max_short_run_fraction)
 
-(* Filtering and per-signal capping over a scored candidate list; shared
-   verbatim by the batch and incremental paths so both produce the same
-   vocabulary from the same statistics. *)
+(* Filtering and per-signal capping over a scored candidate list. *)
 let vocabulary_of_candidates config iface all =
   let kept = List.filter (passes config) all in
   Psm_obs.count "mine.candidates" (List.length all);
@@ -397,17 +249,12 @@ let vocabulary_of_candidates config iface all =
   in
   Vocabulary.create iface (List.map (fun s -> s.atom) (capped_consts @ pair_atoms))
 
-let mine_vocabulary ?pool ?(config = default) traces =
-  Psm_obs.span "mine.vocabulary" @@ fun () ->
-  let iface = check_traces traces in
-  let all = candidate_stats ?pool ~config traces in
-  vocabulary_of_candidates config iface all
-
-(* Push-mode candidate scoring: the same counters the batch passes use,
-   fed one sample at a time. Feeding every training trace in order (with
-   [end_trace] between them) leaves every counter in the exact state the
-   batch passes produce, so [vocabulary] is bit-identical to
-   {!mine_vocabulary} — asserted by a QCheck property in the tests. *)
+(* Push-mode candidate scoring: one counter per narrow signal and one
+   run accumulator per (pair x {=,<,>}) atom, fed one sample or one run
+   of identical samples at a time. A pair costs one three-way
+   [Bits.compare] per observation, scoring its three atoms at once. The
+   batch entry points below feed it every trace run by run; the
+   streaming trainer feeds it as samples arrive. *)
 module Incremental = struct
   type t = {
     config : config;
@@ -488,7 +335,7 @@ module Incremental = struct
     end
 
   (* Trace boundary: runs must not bridge traces. The +2 time gap breaks
-     const-value runs exactly as the batch pass's per-trace offset does. *)
+     const-value runs (a value counter only extends a run from [time - 1]). *)
   let end_trace t =
     let short_below = t.short_below in
     Array.iter (Run_acc.boundary ~short_below) t.eqs;
@@ -496,21 +343,60 @@ module Incremental = struct
     Array.iter (Run_acc.boundary ~short_below) t.gts;
     t.time <- t.time + 2
 
-  (* Candidates in batch order: consts (counter fold order) then pairs
-     (pair order). Run_accs are snapshotted before the pending-run close
+  (* Candidates: consts (counter fold order, a function of the
+     observation sequence only) then ⟨=, <, >⟩ per pair in pair order.
+     Each Run_acc is scored from a snapshot with its pending run closed,
      so scoring is reentrant and observation may continue. *)
   let candidate_stats t =
     let total = t.total in
-    let consts = consts_of_counters ~total t.counters in
-    let snap (a : Run_acc.t array) = Array.map (fun r -> { r with Run_acc.occ = r.Run_acc.occ }) a in
-    let eqs = snap t.eqs and lts = snap t.lts and gts = snap t.gts in
-    let short_below = t.short_below in
-    Array.iter (Run_acc.close_pending ~short_below) eqs;
-    Array.iter (Run_acc.close_pending ~short_below) lts;
-    Array.iter (Run_acc.close_pending ~short_below) gts;
-    consts @ pair_stats_list ~total t.pairs eqs lts gts
+    let consts = ref [] in
+    Array.iteri
+      (fun s counter ->
+        Value_counter.fold
+          (fun v (c : Value_counter.cell) () ->
+            consts := stats_of ~total (Atomic.eq_const s v) c.occ c.runs c.short_runs :: !consts)
+          counter ())
+      t.counters;
+    let score cmp a b (acc : Run_acc.t) =
+      let r = { acc with Run_acc.occ = acc.Run_acc.occ } in
+      Run_acc.close_pending ~short_below:t.short_below r;
+      stats_of ~total (Atomic.compare_signals cmp a b) r.Run_acc.occ r.Run_acc.runs
+        r.Run_acc.short_runs
+    in
+    let pairs =
+      List.concat
+        (List.mapi
+           (fun j (a, b) ->
+             [ score Atomic.Eq a b t.eqs.(j); score Atomic.Lt a b t.lts.(j);
+               score Atomic.Gt a b t.gts.(j) ])
+           (Array.to_list t.pairs))
+    in
+    !consts @ pairs
 
   let vocabulary t =
     if t.total = 0 then invalid_arg "Miner: empty training traces";
     vocabulary_of_candidates t.config t.iface (candidate_stats t)
 end
+
+(* The batch entry points: every trace fed run by run (a run of
+   identical samples is one bulk observation), with a boundary after
+   each. *)
+let observe_traces config traces =
+  let t = Incremental.create ~config (check_traces traces) in
+  List.iter
+    (fun trace ->
+      Functional_trace.iter_runs
+        (fun ~start:_ ~len sample -> Incremental.observe_run t sample len)
+        trace;
+      Incremental.end_trace t)
+    traces;
+  t
+
+let candidate_stats ?(config = default) traces =
+  let t = observe_traces config traces in
+  if Incremental.total t = 0 then invalid_arg "Miner: empty training traces";
+  Incremental.candidate_stats t
+
+let mine_vocabulary ?(config = default) traces =
+  Psm_obs.span "mine.vocabulary" @@ fun () ->
+  Incremental.vocabulary (observe_traces config traces)

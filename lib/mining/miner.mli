@@ -40,21 +40,15 @@ type config = {
 
 val default : config
 
-val mine_vocabulary :
-  ?pool:Psm_par.Pool.t ->
-  ?config:config ->
-  Psm_trace.Functional_trace.t list ->
-  Vocabulary.t
+val mine_vocabulary : ?config:config -> Psm_trace.Functional_trace.t list -> Vocabulary.t
 (** One shared vocabulary over all training traces (they must share an
     interface). Raises [Invalid_argument] on an empty list or mismatched
     interfaces.
 
-    Pair mining is a single fused pass per chunk of signal pairs —
-    every sample pays one three-way comparison per pair, scoring the
-    [=], [<] and [>] atoms at once — and chunks are fanned out over
-    [pool] (default: the global {!Psm_par} pool). Chunk results merge
-    in pair order, so the mined vocabulary is identical at any job
-    count. *)
+    The traces are fed to an {!Incremental} miner one run of identical
+    samples at a time, with {!Incremental.end_trace} after each. Pair
+    mining costs one three-way comparison per pair per run, scoring the
+    [=], [<] and [>] atoms at once. *)
 
 type atom_stats = {
   atom : Atomic.t;
@@ -65,20 +59,19 @@ type atom_stats = {
   short_runs : int;  (** Runs shorter than [min_mean_run]. *)
 }
 
-val candidate_stats :
-  ?pool:Psm_par.Pool.t ->
-  ?config:config ->
-  Psm_trace.Functional_trace.t list ->
-  atom_stats list
+val candidate_stats : ?config:config -> Psm_trace.Functional_trace.t list -> atom_stats list
 (** The scored candidate list before filtering — kept for inspection and
     for the mining-threshold ablation. *)
 
 (** {1 Push-mode mining}
 
-    The same counters the batch passes use, fed one sample at a time —
-    the vocabulary-mining half of the streaming trainer. Feeding every
-    training trace in order (with {!Incremental.end_trace} between and
-    after them) reproduces {!mine_vocabulary} bit-for-bit. *)
+    The mining counters, fed one sample (or one run of identical
+    samples) at a time. {!mine_vocabulary} and {!candidate_stats} are
+    built on it, and it is the vocabulary-mining half of the streaming
+    trainer. Feeding every training trace in order (with
+    {!Incremental.end_trace} after each) reproduces {!mine_vocabulary}.
+    {!Incremental.observe} is the per-cycle definition that
+    {!Incremental.observe_run} must match exactly. *)
 module Incremental : sig
   type t
 

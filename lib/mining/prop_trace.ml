@@ -104,9 +104,9 @@ end
 type t = {
   table : Table.t;
   ids : int array;
-  (* Maximal constant segments as (prop, start, stop), cached: the RLE
-     classification path gets them for free, and the per-run consumers
-     (flow's emission projection, reports) reuse them. *)
+  (* Maximal constant segments as (prop, start, stop), computed on first
+     use and cached for the per-run consumers (generation, flow's
+     emission projection, reports). *)
   mutable segs : (int * int * int) array option;
 }
 
@@ -120,34 +120,16 @@ let of_functional ?pool table trace =
   let n = Functional_trace.length trace in
   let before = Table.prop_count table in
   let ids = Array.make n 0 in
-  let segs = ref None in
   let jobs = Psm_par.effective_jobs ?pool () in
-  let use_rle =
-    Runs.use ()
-    && (jobs <= 1
-       || n < min_parallel_length
-       || Runs.count (Functional_trace.runs trace) * jobs <= n)
-  in
-  if use_rle then begin
+  if jobs <= 1 || n < min_parallel_length || Runs.count (Functional_trace.runs trace) * jobs <= n
+  then begin
     (* One classification per run of identical samples; ids fill in
        bulk, in time order, so interning order (and hence every id)
-       matches the sequential per-cycle path. Adjacent runs with equal
-       ids (distinct samples, same truth row) merge into one segment. *)
-    let rev = ref [] in
+       matches the per-cycle definition. *)
     Functional_trace.iter_runs
-      (fun ~start ~len sample ->
-        let id = Table.classify_or_add table sample in
-        Array.fill ids start len id;
-        match !rev with
-        | (p, s0, _) :: tl when p = id -> rev := (p, s0, start + len - 1) :: tl
-        | _ -> rev := (id, start, start + len - 1) :: !rev)
-      trace;
-    segs := Some (Array.of_list (List.rev !rev))
-  end
-  else if jobs <= 1 || n < min_parallel_length then
-    Functional_trace.iter
-      (fun time sample -> ids.(time) <- Table.classify_or_add table sample)
+      (fun ~start ~len sample -> Array.fill ids start len (Table.classify_or_add table sample))
       trace
+  end
   else begin
     (* Phase 1 (parallel, pure): pack every instant's truth row into a
        key. Phase 2 (sequential): intern the keys in time order, so ids
@@ -174,7 +156,15 @@ let of_functional ?pool table trace =
     done
   end;
   Psm_obs.count "mine.props_interned" (Table.prop_count table - before);
-  { table; ids; segs = !segs }
+  { table; ids; segs = None }
+
+let of_ids table ids =
+  Array.iter
+    (fun id ->
+      if id < 0 || id >= Table.prop_count table then
+        invalid_arg "Prop_trace.of_ids: unknown proposition id")
+    ids;
+  { table; ids = Array.copy ids; segs = None }
 
 let table t = t.table
 let length t = Array.length t.ids

@@ -48,11 +48,16 @@ type t
 (** A proposition trace Γ: one proposition id per instant. *)
 
 val of_functional : ?pool:Psm_par.Pool.t -> Table.t -> Psm_trace.Functional_trace.t -> t
-(** Classifies (and interns) every instant. On traces long enough to be
-    worth it, truth rows are packed in parallel over [pool] (default:
-    the global {!Psm_par} pool) and then interned sequentially in time
-    order — proposition ids, and hence Γ, are identical to a
-    [PSM_JOBS=1] run. *)
+(** Classifies (and interns) every instant, one classification per run
+    of identical samples. When the runs are short and [pool] (default:
+    the global {!Psm_par} pool) has several jobs, truth rows are instead
+    packed per instant in parallel and then interned sequentially in
+    time order. Either way proposition ids, and hence Γ, equal those of
+    one {!Table.classify_or_add} per instant in time order. *)
+
+val of_ids : Table.t -> int array -> t
+(** Γ from proposition ids already interned in the table (copied).
+    Raises [Invalid_argument] on an id the table does not know. *)
 
 val table : t -> Table.t
 val length : t -> int
@@ -63,9 +68,8 @@ val prop_ids : t -> int array
 
 val segments : t -> (int * int * int) list
 (** Maximal constant runs as [(prop, start, stop)] triples, in order —
-    a convenience view used by tests and reports. Cached: the RLE
-    classification path produces it as a by-product, other paths compute
-    it once on first use. *)
+    the view generation works from. Computed once on first use and
+    cached. *)
 
 val iter_prop_runs : t -> start:int -> stop:int -> (int -> start:int -> len:int -> unit) -> unit
 (** [iter_prop_runs t ~start ~stop f] calls [f prop ~start ~len] once per

@@ -295,32 +295,21 @@ let vcd_chunk t ~id ~chunk ~last =
                  upload rides the same proposition queue as [observe]. *)
               let hd = Functional_trace.input_hamming_series trace in
               let n = Functional_trace.length trace in
-              if Psm_trace.Runs.use () then
-                (* One classification per run of identical samples; the
-                   queued codes and Hamming values are exactly the
-                   per-cycle loop's (identical samples classify
-                   identically, and [hd] is still read per instant). *)
-                Functional_trace.iter_runs
-                  (fun ~start ~len sample ->
-                    let code =
-                      match Table.classify table sample with
-                      | Some p -> p
-                      | None -> -1
-                    in
-                    for time = start to start + len - 1 do
-                      Ring.push session.queue code hd.(time)
-                    done)
-                  trace
-              else
-                for time = 0 to n - 1 do
-                  let sample = Functional_trace.sample trace ~time in
+              (* One classification per run of identical samples; the
+                 queued codes and Hamming values equal per-sample
+                 classification's (identical samples classify
+                 identically, and [hd] is still read per instant). *)
+              Functional_trace.iter_runs
+                (fun ~start ~len sample ->
                   let code =
                     match Table.classify table sample with
                     | Some p -> p
                     | None -> -1
                   in
-                  Ring.push session.queue code hd.(time)
-                done;
+                  for time = start to start + len - 1 do
+                    Ring.push session.queue code hd.(time)
+                  done)
+                trace;
               Ok n
             end
       end

@@ -4,24 +4,8 @@
    interning, pair mining, Xu extension, serve-side classification —
    collapses its per-cycle work to one unit of work per run. The
    structure is descriptive only: consumers must prove (and the test
-   suite pins) that their per-run arithmetic replicates the per-cycle
-   reference bit-for-bit. *)
-
-(* The global escape hatch. Default on; PSM_NO_RLE=1 (or --no-rle on the
-   CLI) switches every consumer back to the per-cycle reference path. *)
-let enabled =
-  ref
-    (match Sys.getenv_opt "PSM_NO_RLE" with
-    | None | Some ("" | "0" | "false") -> true
-    | Some _ -> false)
-
-let use () = !enabled
-let set_enabled b = enabled := b
-
-let with_enabled b f =
-  let saved = !enabled in
-  enabled := b;
-  Fun.protect ~finally:(fun () -> enabled := saved) f
+   suite pins, against the per-cycle oracles in test/oracle) that their
+   per-run arithmetic replicates the per-cycle definition bit-for-bit. *)
 
 (* [starts] has one sentinel past the end: run [i] covers instants
    [starts.(i), starts.(i+1)). An empty trace is [| 0 |]. *)

@@ -1,22 +1,10 @@
 (** Run-length structure of a trace: the maximal stretches of identical
     samples, as run start offsets. Built incrementally during ingestion
     (see {!Functional_trace.Builder}) or lazily on demand; consumed by
-    the run-aware mining/training/classification paths, which must stay
-    bit-identical to the per-cycle reference. *)
-
-(** {1 The global escape hatch} *)
-
-val use : unit -> bool
-(** Whether the run-length-compacted pipeline paths are enabled. Defaults
-    to [true]; the [PSM_NO_RLE] environment variable (any value other
-    than empty, ["0"] or ["false"]) or {!set_enabled}[ false] (the CLI's
-    [--no-rle]) selects the per-cycle reference paths everywhere. *)
-
-val set_enabled : bool -> unit
-
-val with_enabled : bool -> (unit -> 'a) -> 'a
-(** Run [f] with the toggle forced to [b], restoring the previous value
-    afterwards (exception-safe). For tests and benches. *)
+    the mining, training and classification paths, which work one run
+    at a time. They are the only production paths: the per-cycle
+    definitions they must reproduce bit-for-bit live as test oracles
+    (the private [psm_oracle] library under [test/oracle]). *)
 
 (** {1 Run structure} *)
 

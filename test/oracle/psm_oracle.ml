@@ -8,6 +8,10 @@
    production kernels against them. Nothing outside test/ and bench/
    links this library. *)
 
+(* Per-cycle mining, classification, generation and training: the
+   references for the run-length production paths. *)
+module Per_cycle = Per_cycle
+
 module Hmm = Psm_hmm.Hmm
 
 (* The same smoothing floor as Filtering and Offline. *)

@@ -8,7 +8,6 @@ module Bits = Psm_bits.Bits
 module Signal = Psm_trace.Signal
 module Interface = Psm_trace.Interface
 module FT = Psm_trace.Functional_trace
-module Atomic = Psm_mining.Atomic
 module Vocabulary = Psm_mining.Vocabulary
 module Miner = Psm_mining.Miner
 module Prop_trace = Psm_mining.Prop_trace
@@ -248,33 +247,9 @@ let scheduler_properties =
               = List.map f xs)) ]
 
 let properties =
-  [ prop "parallel mine_vocabulary = sequential" (fun trace ->
-        let seq =
-          Miner.mine_vocabulary ~pool:(Lazy.force pool1) ~config:lax_config [ trace ]
-        in
-        let par =
-          Miner.mine_vocabulary ~pool:(Lazy.force pool4) ~config:lax_config [ trace ]
-        in
-        let a = Vocabulary.atoms seq and b = Vocabulary.atoms par in
-        Array.length a = Array.length b
-        && Array.for_all2 Atomic.equal a b);
-    prop "parallel candidate_stats = sequential" (fun trace ->
-        let strip (s : Miner.atom_stats) =
-          (s.Miner.occurrences, s.Miner.runs, s.Miner.short_runs)
-        in
-        let seq =
-          Miner.candidate_stats ~pool:(Lazy.force pool1) ~config:lax_config [ trace ]
-        in
-        let par =
-          Miner.candidate_stats ~pool:(Lazy.force pool4) ~config:lax_config [ trace ]
-        in
-        List.length seq = List.length par
-        && List.for_all2
-             (fun x y -> Atomic.equal x.Miner.atom y.Miner.atom && strip x = strip y)
-             seq par);
-    prop "parallel classification = sequential" (fun trace ->
+  [ prop "parallel classification = sequential" (fun trace ->
         let vocabulary =
-          Miner.mine_vocabulary ~pool:(Lazy.force pool1) ~config:lax_config [ trace ]
+          Miner.mine_vocabulary ~config:lax_config [ trace ]
         in
         if Vocabulary.size vocabulary = 0 then true
         else begin

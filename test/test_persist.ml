@@ -132,6 +132,63 @@ let test_rejects_tampered () =
   let truncated = String.sub text 0 (String.length text - 40) in
   check_bool "tampered rejected" true (expect_parse_error truncated)
 
+(* Hostile model files: a line naming an unknown state or proposition,
+   or carrying a non-finite or negative training count, must be
+   rejected with a Parse_error located at that line — never an
+   escaping Invalid_argument or an array-bounds failure. *)
+let saved_multsum =
+  lazy (Persist.save (snd (train_ip "MultSum" Psm_ips.Multsum.create 6000)))
+
+let tamper_case ~prefix ~replace ~expect () =
+  let target = ref None in
+  let lines =
+    List.mapi
+      (fun i line ->
+        if !target = None && String.starts_with ~prefix line then begin
+          target := Some i;
+          replace (String.split_on_char ' ' line)
+        end
+        else line)
+      (String.split_on_char '\n' (Lazy.force saved_multsum))
+  in
+  let line_no =
+    match !target with
+    | Some i -> i + 1
+    | None -> Alcotest.failf "no %S line in the saved model" prefix
+  in
+  match Persist.load (String.concat "\n" lines) with
+  | _ -> Alcotest.failf "tampered %S line loaded" prefix
+  | exception Persist.Parse_error msg ->
+      check_bool ("located: " ^ msg) true (contains msg (Printf.sprintf "line %d:" line_no));
+      check_bool ("names the problem: " ^ msg) true (contains msg expect)
+
+let tampered =
+  [ ( "transition to unknown state",
+      tamper_case ~prefix:"t "
+        ~replace:(fun w -> String.concat " " [ "t"; List.nth w 1; List.nth w 2; "7777" ])
+        ~expect:"unknown state 7777" );
+    ( "transition on unknown guard",
+      tamper_case ~prefix:"t "
+        ~replace:(fun w -> String.concat " " [ "t"; List.nth w 1; "9999"; List.nth w 3 ])
+        ~expect:"unknown proposition 9999" );
+    ( "unknown initial state",
+      tamper_case ~prefix:"i " ~replace:(fun _ -> "i 7777") ~expect:"unknown state 7777" );
+    ( "emission of unknown proposition",
+      tamper_case ~prefix:"ce "
+        ~replace:(fun w -> String.concat " " [ "ce"; List.nth w 1; "9999"; List.nth w 3 ])
+        ~expect:"unknown proposition 9999" );
+    ( "nan transition count",
+      tamper_case ~prefix:"ct "
+        ~replace:(fun w -> String.concat " " [ "ct"; List.nth w 1; List.nth w 2; "nan" ])
+        ~expect:"bad count nan" );
+    ( "negative transition count",
+      tamper_case ~prefix:"ct "
+        ~replace:(fun w -> String.concat " " [ "ct"; List.nth w 1; List.nth w 2; "-4" ])
+        ~expect:"bad count -4" );
+    ( "assertion on unknown proposition",
+      tamper_case ~prefix:"assert " ~replace:(fun _ -> "assert (U 0 9999)")
+        ~expect:"unknown proposition 9999" ) ]
+
 let suite =
   ( "persist",
     [ Alcotest.test_case "roundtrip RAM" `Slow test_roundtrip_ram;
@@ -143,4 +200,7 @@ let suite =
       Alcotest.test_case "hierarchical roundtrip" `Slow test_hier_roundtrip;
       Alcotest.test_case "rejects garbage" `Quick test_rejects_garbage;
       Alcotest.test_case "bad version report" `Quick test_bad_version_report;
-      Alcotest.test_case "rejects tampered" `Quick test_rejects_tampered ] )
+      Alcotest.test_case "rejects tampered" `Quick test_rejects_tampered ]
+    @ List.map
+        (fun (name, case) -> Alcotest.test_case ("rejects " ^ name) `Quick case)
+        tampered )

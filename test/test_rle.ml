@@ -1,9 +1,10 @@
-(* Run-length compaction equivalence: every RLE-gated fast path must be
-   bit-identical to the per-cycle reference path (--no-rle). Pinned here
-   the same three ways PR 7 pinned stream≡batch: deterministic
-   adversarial run shapes, the bundled-IP captures, and a QCheck
-   property over random traces — with *exact* float comparison, because
-   the optimization's contract is bit-identity, not tolerance. *)
+(* Run-length equivalence: every production path that works one run of
+   identical samples at a time must be bit-identical to the per-cycle
+   definition in [Psm_oracle.Per_cycle]. Pinned three ways, as
+   stream≡batch is: deterministic adversarial run shapes, a bundled-IP
+   capture, and a QCheck property over random traces — with *exact*
+   float comparison, because the contract is bit-identity, not
+   tolerance. *)
 
 module Flow = Psm_flow.Flow
 module Stream = Psm_flow.Stream_train
@@ -22,6 +23,8 @@ module Bits = Psm_bits.Bits
 module Miner = Psm_mining.Miner
 module Prop_trace = Psm_mining.Prop_trace
 module Multi_sim = Psm_hmm.Multi_sim
+module Engine = Psm_serve.Engine
+module Per_cycle = Psm_oracle.Per_cycle
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -29,8 +32,6 @@ let check_bool = Alcotest.(check bool)
 let exact label expected actual =
   if not (Float.equal expected actual) then
     Alcotest.failf "%s: per-cycle %.17g, RLE %.17g" label expected actual
-
-let with_rle b f = Runs.with_enabled b f
 
 (* ---------- the Runs structure itself ---------- *)
 
@@ -131,6 +132,53 @@ let alternating n =
     (List.init n (fun i -> if i mod 4 < 2 then (1, 0) else (3, 1)))
     (List.init n (fun i -> if i mod 4 < 2 then 2. else 9.))
 
+(* Runs of exactly three identical samples: each [x = v] atom's mean run
+   (3) sits just under the default stability threshold (4), so any
+   miscounted repeat changes the vocabulary. *)
+let triples n =
+  adv_trace
+    (List.init n (fun i -> ((i / 3) mod 4, 0)))
+    (List.init n (fun i -> 1. +. float_of_int ((i / 3) mod 4)))
+
+let phased_interface =
+  Interface.create
+    [ Signal.input "mode" 1; Signal.input "req" 1; Signal.input "d" 40; Signal.input "e" 40;
+      Signal.output "busy" 1 ]
+
+(* 24-cycle blocks. [mode] and [req] switch two cycles apart, so
+   two-instant proposition segments (the Until/Next boundary) sit
+   between long ones. In the busy half the 40-bit inputs [d] and [e]
+   change every other cycle and power tracks input Hamming distance, so
+   a regression state sees repeated samples (Hamming 0); [d = e] holds
+   on one busy pair in three, leaving a short run pending when the
+   idle half opens a long one in a single bulk step. *)
+let phased n =
+  let word k = Bits.of_int ~width:40 ((k * 2654435761) land 0xFF_FFFF_FFFF) in
+  let rows =
+    Array.init n (fun t ->
+        let c = t mod 24 and pair = t / 2 in
+        let mode = if c < 12 then 0 else 1 in
+        let req = if c >= 10 && c < 22 then 1 else 0 in
+        let d, e =
+          if mode = 0 then (word 0, word 0)
+          else (word pair, if pair mod 3 = 0 then word pair else word (pair + 7))
+        in
+        [| Bits.of_int ~width:1 mode; Bits.of_int ~width:1 req; d; e; Bits.of_int ~width:1 mode |])
+  in
+  let hd t =
+    if t = 0 then 0
+    else
+      List.fold_left
+        (fun acc i -> acc + Bits.hamming_distance rows.(t).(i) rows.(t - 1).(i))
+        0 [ 0; 1; 2; 3 ]
+  in
+  let powers =
+    Array.init n (fun t ->
+        let mode = if t mod 24 < 12 then 0. else 1. in
+        2. +. (4. *. mode) +. (mode *. 0.25 *. float_of_int (hd t)))
+  in
+  (Functional_trace.of_samples phased_interface rows, Power_trace.of_array powers)
+
 (* ---------- exact model comparison ---------- *)
 
 let sorted_states psm =
@@ -209,68 +257,127 @@ let check_trained_exact name (a : Flow.trained) (b : Flow.trained) =
       exact (name ^ " report r") ra.Optimize.correlation rb.Optimize.correlation)
     a.Flow.optimize_reports b.Flow.optimize_reports
 
-let check_stream_exact name (a : Stream.result) (b : Stream.result) =
-  check_int (name ^ " props")
-    (Prop_trace.Table.prop_count a.Stream.table)
-    (Prop_trace.Table.prop_count b.Stream.table);
-  check_int (name ^ " cycles") a.Stream.cycles b.Stream.cycles;
-  check_psm_exact name a.Stream.optimized b.Stream.optimized;
-  check_counts (name ^ " transition counts") a.Stream.transition_counts
-    b.Stream.transition_counts;
-  check_counts (name ^ " emission counts") a.Stream.emission_counts b.Stream.emission_counts
+let check_candidates name traces =
+  let counts (c : Miner.atom_stats) = (c.Miner.occurrences, c.Miner.runs, c.Miner.short_runs) in
+  let reference = Per_cycle.candidate_stats traces and production = Miner.candidate_stats traces in
+  check_int (name ^ " candidates") (List.length reference) (List.length production);
+  List.iter2
+    (fun a b ->
+      check_bool (name ^ " candidate atom") true (Psm_mining.Atomic.equal a.Miner.atom b.Miner.atom);
+      check_bool (name ^ " candidate counts") true (counts a = counts b);
+      exact (name ^ " candidate support") a.Miner.support b.Miner.support;
+      exact (name ^ " candidate mean run") a.Miner.mean_run b.Miner.mean_run)
+    reference production
 
-(* Simulation-side equivalence on one model: Multi_sim's memoized stepper
-   and the filtering posterior stream, per-cycle exact. *)
-let check_simulation_exact name (reference : Flow.trained) traces =
+(* The streaming trainer (run-coalesced mining, memoized classification)
+   against the per-cycle batch definition. Those two paths are discrete:
+   the vocabulary, every proposition row, the chain structure and the
+   integer transition/emission counts must match exactly. The stream's
+   attribute floats come from sufficient statistics, so they are held
+   to stream≡batch's 1e-9 relative tolerance. *)
+let check_stream_exact name (a : Flow.trained) (b : Stream.result) =
+  let ta = a.Flow.table and tb = b.Stream.table in
+  check_int (name ^ " props") (Prop_trace.Table.prop_count ta) (Prop_trace.Table.prop_count tb);
+  let atoms t = Psm_mining.Vocabulary.atoms (Prop_trace.Table.vocabulary t) in
+  check_bool (name ^ " vocabulary") true
+    (Array.length (atoms ta) = Array.length (atoms tb)
+    && Array.for_all2 Psm_mining.Atomic.equal (atoms ta) (atoms tb));
+  for id = 0 to Prop_trace.Table.prop_count ta - 1 do
+    Alcotest.(check (array bool)) (name ^ " prop row")
+      (Prop_trace.Table.row ta id) (Prop_trace.Table.row tb id)
+  done;
+  check_int (name ^ " cycles")
+    (Array.fold_left (fun n t -> n + Functional_trace.length t) 0 a.Flow.traces)
+    b.Stream.cycles;
+  check_counts (name ^ " transition counts") a.Flow.transition_counts
+    b.Stream.transition_counts;
+  check_counts (name ^ " emission counts") a.Flow.emission_counts b.Stream.emission_counts;
+  Test_stream.check_equiv name a b
+
+let check_steps name reference production =
+  check_int (name ^ " cycles") (Array.length reference) (Array.length production);
+  Array.iter2
+    (fun (pa, sa) (pb, sb) ->
+      exact (name ^ " power") pa pb;
+      check_int (name ^ " state") sa sb)
+    reference production
+
+(* The serve engine's VCD upload classifies once per run; its queued
+   codes must be the per-sample ones, so a session fed the upload and a
+   session fed the per-cycle observations serve identical streams. *)
+let check_vcd_upload name model trace =
+  let engine = Engine.create ~idle_timeout:0. [ ("m", model) ] in
+  let get = function Ok v -> v | Error e -> Alcotest.fail e in
+  let n = Functional_trace.length trace in
+  List.iter
+    (fun mode ->
+      get (Engine.open_session engine ~id:"vcd" ~model:"m" ~mode);
+      get (Engine.open_session engine ~id:"obs" ~model:"m" ~mode);
+      check_int (name ^ " vcd cycles") n
+        (get
+           (Engine.vcd_chunk engine ~id:"vcd" ~chunk:(Psm_trace.Vcd.to_string trace)
+              ~last:true));
+      check_int (name ^ " obs cycles") n
+        (get
+           (Engine.submit engine ~id:"obs"
+              (Per_cycle.observations model.Persist.table trace)));
+      ignore (Engine.drain engine);
+      check_steps (name ^ " vcd upload")
+        (get (Engine.take_results engine ~id:"obs" ~count:n))
+        (get (Engine.take_results engine ~id:"vcd" ~count:n));
+      get (Engine.close_session engine ~id:"vcd");
+      get (Engine.close_session engine ~id:"obs"))
+    [ `Filter; `Sim ]
+
+(* Simulation-side equivalence on one model: Multi_sim's memoized
+   stepper, the filter session's memo and the serve VCD upload, each
+   against per-cycle classification. *)
+let check_simulation_exact name (trained : Flow.trained) traces =
   let model =
-    { Persist.table = reference.Flow.table;
-      psm = reference.Flow.optimized;
-      hmm = reference.Flow.hmm }
+    { Persist.table = trained.Flow.table;
+      psm = trained.Flow.optimized;
+      hmm = trained.Flow.hmm }
   in
   List.iter
     (fun trace ->
-      let sim_ref = with_rle false (fun () -> Multi_sim.simulate reference.Flow.hmm trace) in
-      let sim_rle = with_rle true (fun () -> Multi_sim.simulate reference.Flow.hmm trace) in
-      Alcotest.(check (array int)) (name ^ " sim states")
-        sim_ref.Multi_sim.state_trace sim_rle.Multi_sim.state_trace;
-      Array.iter2 (exact (name ^ " sim estimate")) sim_ref.Multi_sim.estimate
-        sim_rle.Multi_sim.estimate;
-      check_int (name ^ " sim wrong") sim_ref.Multi_sim.wrong_instants
-        sim_rle.Multi_sim.wrong_instants;
-      let filter_outputs enabled =
-        with_rle enabled (fun () ->
-            let est = Estimate.of_model ~mode:`Filter model in
-            let n = Functional_trace.length trace in
-            Array.init n (fun time ->
-                Estimate.step_sample est (Functional_trace.sample trace ~time)))
-      in
-      Array.iter2
-        (fun (pa, sa) (pb, sb) ->
-          exact (name ^ " filter power") pa pb;
-          check_int (name ^ " filter state") sa sb)
-        (filter_outputs false) (filter_outputs true))
+      let sim = Multi_sim.simulate trained.Flow.hmm trace in
+      check_steps (name ^ " sim")
+        (Per_cycle.simulate trained.Flow.hmm trace)
+        (Array.map2 (fun e s -> (e, s)) sim.Multi_sim.estimate sim.Multi_sim.state_trace);
+      let est = Estimate.of_model ~mode:`Filter model in
+      check_steps (name ^ " filter")
+        (Per_cycle.filter model trace)
+        (Array.init (Functional_trace.length trace) (fun time ->
+             Estimate.step_sample est (Functional_trace.sample trace ~time)));
+      check_vcd_upload name model trace)
     traces
 
+(* At one job [Prop_trace.of_functional] always classifies per run; a
+   wider pool packs incompressible traces per instant in parallel
+   instead (pinned separately by the par suite). *)
+let one_job f =
+  let saved = Psm_par.default_jobs () in
+  Psm_par.set_jobs 1;
+  Fun.protect ~finally:(fun () -> Psm_par.set_jobs saved) f
+
 let check_all_exact name pairs =
+  one_job @@ fun () ->
   let traces, powers = List.split pairs in
-  let batch_ref = with_rle false (fun () -> Flow.train ~traces ~powers ()) in
-  let batch_rle = with_rle true (fun () -> Flow.train ~traces ~powers ()) in
-  check_trained_exact name batch_ref batch_rle;
-  let stream_ref =
-    with_rle false (fun () -> Stream.train_traces ~watermark:32 ~traces ~powers ())
-  in
-  let stream_rle =
-    with_rle true (fun () -> Stream.train_traces ~watermark:32 ~traces ~powers ())
-  in
-  check_stream_exact (name ^ " stream") stream_ref stream_rle;
-  check_simulation_exact name batch_ref traces
+  check_candidates name traces;
+  let reference = Per_cycle.train ~traces ~powers () in
+  check_trained_exact name reference (Flow.train ~traces ~powers ());
+  check_stream_exact (name ^ " stream") reference
+    (Stream.train_traces ~watermark:32 ~traces ~powers ());
+  check_simulation_exact name reference traces
 
 let test_adversarial_shapes () =
   check_all_exact "all-distinct" [ all_distinct 120 ];
   check_all_exact "giant-run" [ giant_run 150 ];
   check_all_exact "alternating" [ alternating 160 ];
+  check_all_exact "triples" [ triples 150 ];
+  check_all_exact "phased" [ phased 480 ];
   (* Mixed multi-trace: all three shapes as one training set. *)
-  check_all_exact "mixed" [ all_distinct 90; giant_run 110; alternating 100 ]
+  check_all_exact "mixed" [ all_distinct 90; giant_run 110; alternating 100; triples 60 ]
 
 (* ---------- bundled IP ---------- *)
 
@@ -310,11 +417,8 @@ let test_iter_prop_runs () =
         (Printf.sprintf "window [%d,%d]" start stop)
         !expect (List.rev !got))
     [ (0, n - 1); (0, 0); (n - 1, n - 1); (3, 17); (1, n - 2) ];
-  (* Γ itself is identical with and without RLE classification. *)
-  let gamma_ref =
-    with_rle false (fun () ->
-        Prop_trace.of_functional (Prop_trace.Table.create vocabulary) trace)
-  in
+  (* Γ itself is identical to per-sample classification. *)
+  let gamma_ref = Per_cycle.classify (Prop_trace.Table.create vocabulary) trace in
   Alcotest.(check (array int)) "gamma ids"
     (Prop_trace.prop_ids gamma_ref) (Prop_trace.prop_ids gamma)
 
