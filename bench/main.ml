@@ -593,10 +593,7 @@ let run_evaluate ~eval_length () =
         let table = trained.Flow.table in
         let long = Workloads.long_for ~length:eval_length name in
         let trace, _reference = Psm_ips.Capture.run ip long in
-        let obs =
-          Array.init (Psm_trace.Functional_trace.length trace) (fun time ->
-              Table.classify table (Psm_trace.Functional_trace.sample trace ~time))
-        in
+        let obs, _ = Psm_mining.Prop_trace.observations table trace in
         (* Forward filtering: the dense oracle vs the production CSR
            scatter kernel. Both are bit-identical, so the equality check
            is exact. *)
@@ -621,17 +618,17 @@ let run_evaluate ~eval_length () =
           Printf.eprintf "FAIL: %s sparse viterbi path diverges from dense\n" name;
           exit 1
         end;
-        (* Multi-sim: indexed successor tables vs the reference stepper. *)
-        let r_ref, sim_ref_s =
-          time3 (fun () -> Multi_sim.simulate ~reference:true hmm trace)
+        (* Multi-sim: the per-cycle oracle (a classification and an
+           input distance per instant) vs the run-level observations. *)
+        let r_cycle, sim_cycle_s =
+          time3 (fun () -> Psm_oracle.Per_cycle.simulate hmm trace)
         in
-        let r_idx, sim_idx_s =
-          time3 (fun () -> Multi_sim.simulate ~reference:false hmm trace)
-        in
-        if r_ref.Multi_sim.estimate <> r_idx.Multi_sim.estimate
-           || r_ref.Multi_sim.wrong_instants <> r_idx.Multi_sim.wrong_instants
+        let r_run, sim_run_s = time3 (fun () -> Multi_sim.simulate hmm trace) in
+        if r_cycle
+           <> Array.map2 (fun e s -> (e, s)) r_run.Multi_sim.estimate
+                r_run.Multi_sim.state_trace
         then begin
-          Printf.eprintf "FAIL: %s indexed multi-sim diverges from reference\n" name;
+          Printf.eprintf "FAIL: %s multi-sim diverges from the per-cycle oracle\n" name;
           exit 1
         end;
         (* Full-context analyzer: the Psm_par fan-out vs a one-job pool.
@@ -660,8 +657,8 @@ let run_evaluate ~eval_length () =
               (name ^ "_forward_sparse_seconds", fwd_sparse_s);
               (name ^ "_viterbi_oracle_seconds", vit_dense_s);
               (name ^ "_viterbi_sparse_seconds", vit_sparse_s);
-              (name ^ "_multisim_reference_seconds", sim_ref_s);
-              (name ^ "_multisim_indexed_seconds", sim_idx_s);
+              (name ^ "_multisim_per_cycle_seconds", sim_cycle_s);
+              (name ^ "_multisim_seconds", sim_run_s);
               (name ^ "_lint_jobs1_seconds", lint_seq_s);
               (name ^ "_lint_parallel_seconds", lint_par_s);
               (name ^ "_train_analyze_seconds", analyze_s) ];
@@ -669,7 +666,7 @@ let run_evaluate ~eval_length () =
         [ name;
           Printf.sprintf "%.2fx" (ratio fwd_dense_s fwd_sparse_s);
           Printf.sprintf "%.2fx" (ratio vit_dense_s vit_sparse_s);
-          Printf.sprintf "%.2fx" (ratio sim_ref_s sim_idx_s);
+          Printf.sprintf "%.2fx" (ratio sim_cycle_s sim_run_s);
           Printf.sprintf "%.2fx" (ratio lint_seq_s lint_par_s);
           Printf.sprintf "%.3f" analyze_s ])
       [ ("RAM", Psm_ips.Ram.create); ("MultSum", Psm_ips.Multsum.create);
@@ -678,12 +675,12 @@ let run_evaluate ~eval_length () =
   print_string
     (Report.render_table
        ~header:
-         [ "IP"; "fwd dense/sparse"; "vit dense/sparse"; "sim ref/idx";
+         [ "IP"; "fwd dense/sparse"; "vit dense/sparse"; "sim cycle/run";
            "lint 1j/par"; "train lint s" ]
        rows);
   print_endline
     "(Every ratio compares a reference path (the dense test oracle, the\n\
-    \ reference stepper, a one-job pool) against the production path, on\n\
+    \ per-cycle oracle, a one-job pool) against the production path, on\n\
     \ identical inputs with identical outputs -- the equality checks above\n\
     \ are exact, not approximate.)";
   (* The acceptance gate: Camellia's train-time analyze span must beat the
@@ -1469,6 +1466,13 @@ let micro_tests () =
   let sample = Psm_trace.Functional_trace.sample trace ~time:100 in
   let gamma = Psm_mining.Prop_trace.of_functional trained.Flow.table trace in
   let stepper = ref (Psm_hmm.Multi_sim.Stepper.create trained.Flow.hmm) in
+  let observer = Psm_mining.Prop_trace.Observer.create trained.Flow.table in
+  let step sample =
+    let obs = Psm_mining.Prop_trace.Observer.observe observer sample in
+    Psm_hmm.Multi_sim.Stepper.step_classified !stepper
+      ~hamming:(Psm_mining.Prop_trace.Observer.hamming observer)
+      obs
+  in
   [ Test.make ~name:"ip-step/RAM"
       (Staged.stage (fun () ->
            ram.Psm_ips.Ip.reset ();
@@ -1493,14 +1497,13 @@ let micro_tests () =
                 (Psm.empty trained.Flow.table)
                 ~trace:0 gamma power)));
     Test.make ~name:"hmm/stepper-step"
-      (Staged.stage (fun () -> ignore (Psm_hmm.Multi_sim.Stepper.step !stepper sample)));
+      (Staged.stage (fun () -> ignore (step sample)));
     Test.make ~name:"hmm/stepper-256-cycles"
       (Staged.stage (fun () ->
            stepper := Psm_hmm.Multi_sim.Stepper.create trained.Flow.hmm;
+           Psm_mining.Prop_trace.Observer.reset observer;
            for t = 0 to 255 do
-             ignore
-               (Psm_hmm.Multi_sim.Stepper.step !stepper
-                  (Psm_trace.Functional_trace.sample trace ~time:t))
+             ignore (step (Psm_trace.Functional_trace.sample trace ~time:t))
            done));
     Test.make ~name:"gate-sim/levelized-RAM-cycle"
       (Staged.stage

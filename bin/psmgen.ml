@@ -472,14 +472,10 @@ let stats_run model_path trace_file unknowns period json_path =
         let model = Psm_flow.Persist.load_file path in
         let table = model.Psm_flow.Persist.table in
         let n = Psm_trace.Functional_trace.length trace in
-        (* One classification per sample run; unmatched rows code to -1. *)
+        (* Unmatched rows code to -1. *)
         let codes = Array.make n (-1) in
-        Psm_trace.Functional_trace.iter_runs
-          (fun ~start ~len sample ->
-            match Psm_mining.Prop_trace.Table.classify table sample with
-            | Some p -> Array.fill codes start len p
-            | None -> ())
-          trace;
+        Psm_mining.Prop_trace.iter_observations table trace
+          (fun ~start ~len obs ~hamming:_ -> Option.iter (Array.fill codes start len) obs);
         let prop_runs = Runs.scan ~equal:(fun i j -> codes.(i) = codes.(j)) n in
         print_run_stats "proposition segments" prop_runs;
         prop_runs)

@@ -1,5 +1,5 @@
 module Functional_trace = Psm_trace.Functional_trace
-module Table = Psm_mining.Prop_trace.Table
+module Prop_trace = Psm_mining.Prop_trace
 
 type result = {
   estimate : float array;
@@ -22,8 +22,7 @@ let simulate psm trace =
       | Assertion.Seq _ | Assertion.Alt _ ->
           invalid_arg "Sim_single.simulate: composite assertions need the HMM simulator")
     (Psm.states psm);
-  let table = Psm.prop_table psm in
-  let hd = Functional_trace.input_hamming_series trace in
+  let observations, hd = Prop_trace.observations (Psm.prop_table psm) trace in
   let n = Functional_trace.length trace in
   let estimate = Array.make n 0. in
   let desyncs = ref [] in
@@ -35,9 +34,8 @@ let simulate psm trace =
     | [] -> None
     | _ -> invalid_arg "Sim_single.simulate: state with several successors (not a chain)"
   in
-  Functional_trace.iter
-    (fun t sample ->
-      let observed = Table.classify table sample in
+  Array.iteri
+    (fun t observed ->
       let s = Psm.state psm !current in
       let outcome =
         match (observed, s.Psm.assertion) with
@@ -64,7 +62,7 @@ let simulate psm trace =
       | Desync -> desyncs := t :: !desyncs);
       let s = Psm.state psm !current in
       estimate.(t) <- Psm.eval_output s.Psm.output ~hamming:hd.(t))
-    trace;
+    observations;
   let desyncs = List.rev !desyncs in
   { estimate;
     desyncs;

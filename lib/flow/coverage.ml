@@ -1,7 +1,7 @@
 module Psm = Psm_core.Psm
 module Functional_trace = Psm_trace.Functional_trace
-module Table = Psm_mining.Prop_trace.Table
-module Multi_sim = Psm_hmm.Multi_sim
+module Prop_trace = Psm_mining.Prop_trace
+module Stepper = Psm_hmm.Multi_sim.Stepper
 
 type report = {
   instants : int;
@@ -16,30 +16,27 @@ type report = {
 
 let of_trace hmm trace =
   let psm = Psm_hmm.Hmm.psm hmm in
-  let table = Psm.prop_table psm in
   let n = Functional_trace.length trace in
   let known = ref 0 in
   let unknown_samples = ref [] in
-  Functional_trace.iter
-    (fun time sample ->
-      match Table.classify table sample with
-      | Some _ -> incr known
-      | None ->
-          if List.length !unknown_samples < 10 then
-            unknown_samples := time :: !unknown_samples)
-    trace;
-  let result = Multi_sim.simulate hmm trace in
+  let stepper = Stepper.create hmm in
   let visited = Hashtbl.create 16 in
   let edges = Hashtbl.create 32 in
   let prev = ref (-1) in
-  Array.iter
-    (fun sid ->
-      if sid >= 0 then begin
-        Hashtbl.replace visited sid ();
-        if !prev >= 0 && !prev <> sid then Hashtbl.replace edges (!prev, sid) ()
-      end;
-      prev := sid)
-    result.Multi_sim.state_trace;
+  Prop_trace.iter_observations (Psm.prop_table psm) trace (fun ~start ~len obs ~hamming ->
+      if obs <> None then known := !known + len;
+      for time = start to start + len - 1 do
+        if obs = None && List.length !unknown_samples < 10 then
+          unknown_samples := time :: !unknown_samples;
+        let _, sid =
+          Stepper.step_classified stepper ~hamming:(if time = start then hamming else 0.) obs
+        in
+        if sid >= 0 then begin
+          Hashtbl.replace visited sid ();
+          if !prev >= 0 && !prev <> sid then Hashtbl.replace edges (!prev, sid) ()
+        end;
+        prev := sid
+      done);
   (* Count only edges that exist in the machine (resync jumps may take
      paths the structure does not have). *)
   let structural = Hashtbl.create 32 in

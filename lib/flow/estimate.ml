@@ -1,7 +1,3 @@
-module Bits = Psm_bits.Bits
-module Interface = Psm_trace.Interface
-module Vocabulary = Psm_mining.Vocabulary
-module Table = Psm_mining.Prop_trace.Table
 module Hmm = Psm_hmm.Hmm
 module Filtering = Psm_hmm.Filtering
 module Multi_sim = Psm_hmm.Multi_sim
@@ -12,24 +8,7 @@ type backend =
   | Sim of Multi_sim.Stepper.t
   | Filter of Filtering.t * Filtering.Stream.state
 
-type t = {
-  model : Persist.model;
-  backend : backend;
-  input_indexes : int list;
-  mutable prev_inputs : Bits.t array option;
-      (* sample-level filter stepping tracks its own input Hamming
-         distances; the sim stepper tracks its own internally. *)
-  mutable memo : (Bits.t array * int option) option;
-      (* classification memo for [step_sample]'s filter arm: previous
-         sample (private copy) and its classification. Pure cache, not
-         part of portable checkpoints. *)
-}
-
-let same_sample a b = Array.length a = Array.length b && Array.for_all2 Bits.equal a b
-
-let input_indexes_of (model : Persist.model) =
-  let iface = Vocabulary.interface (Table.vocabulary model.Persist.table) in
-  List.map fst (Interface.inputs iface)
+type t = { model : Persist.model; backend : backend }
 
 let of_model ?filtering ~mode (model : Persist.model) =
   let backend =
@@ -46,7 +25,7 @@ let of_model ?filtering ~mode (model : Persist.model) =
         in
         Filter (filt, Filtering.Stream.make filt)
   in
-  { model; backend; input_indexes = input_indexes_of model; prev_inputs = None; memo = None }
+  { model; backend }
 
 let mode t = match t.backend with Sim _ -> `Sim | Filter _ -> `Filter
 let model t = t.model
@@ -54,53 +33,13 @@ let model t = t.model
 let filter_state t =
   match t.backend with Sim _ -> None | Filter (f, s) -> Some (f, s)
 
-(* The per-instant result once the belief/state machine has advanced:
-   (power estimate, PSM state id; -1 = desynchronized). The filter arm is
-   shared between [step] and the engine's batched sweep so both paths do
-   the identical bookkeeping. *)
-let filter_result t filt s ~hd =
-  let row = Filtering.Stream.map_state filt s in
-  ( Filtering.Stream.power filt s ~hamming:hd,
-    Hmm.state_of_row t.model.Persist.hmm row )
-
 let step t ?(hd = 0.) obs =
   match t.backend with
   | Sim st -> Multi_sim.Stepper.step_classified st ~hamming:hd obs
   | Filter (filt, s) ->
       Filtering.Stream.step filt s obs;
-      filter_result t filt s ~hd
-
-let batched_result t ~hd =
-  match t.backend with
-  | Filter (filt, s) -> filter_result t filt s ~hd
-  | Sim _ -> invalid_arg "Estimate.batched_result: sim sessions are not batched"
-
-let step_sample t sample =
-  match t.backend with
-  | Sim st -> Multi_sim.Stepper.step st sample
-  | Filter (filt, s) -> (
-      match t.memo with
-      | Some (prev, obs) when same_sample prev sample ->
-          (* Identical sample: Hamming 0 and the same classification; the
-             numeric forward recursion still advances per cycle. *)
-          Filtering.Stream.step filt s obs;
-          filter_result t filt s ~hd:0.
-      | _ ->
-          let hd =
-            match t.prev_inputs with
-            | None -> 0.
-            | Some prev ->
-                float_of_int
-                  (List.fold_left
-                     (fun acc i -> acc + Bits.hamming_distance sample.(i) prev.(i))
-                     0 t.input_indexes)
-          in
-          let copy = Array.copy sample in
-          t.prev_inputs <- Some copy;
-          let obs = Table.classify t.model.Persist.table sample in
-          t.memo <- Some (copy, obs);
-          Filtering.Stream.step filt s obs;
-          filter_result t filt s ~hd)
+      ( Filtering.Stream.power filt s ~hamming:hd,
+        Hmm.state_of_row t.model.Persist.hmm (Filtering.Stream.map_state filt s) )
 
 let cycles t =
   match t.backend with
@@ -128,83 +67,26 @@ let log_likelihood t =
 
 (* ---------- portable checkpoints ---------- *)
 
-type portable_backend =
+type portable =
   | Portable_sim of Multi_sim.Stepper.portable
   | Portable_filter of Filtering.Stream.portable
 
-type portable = {
-  portable_backend : portable_backend;
-  portable_prev_inputs : string array option;
-}
-
 let export t =
-  { portable_backend =
-      (match t.backend with
-      | Sim st -> Portable_sim (Multi_sim.Stepper.export st)
-      | Filter (_, s) -> Portable_filter (Filtering.Stream.export s));
-    portable_prev_inputs =
-      Option.map (Array.map Bits.to_binary_string) t.prev_inputs }
+  match t.backend with
+  | Sim st -> Portable_sim (Multi_sim.Stepper.export st)
+  | Filter (_, s) -> Portable_filter (Filtering.Stream.export s)
 
-(* The sample-level tracker's previous inputs, validated against the
-   model's interface (the serve path never populates it, but a
-   checkpoint is untrusted input end to end). *)
-let decode_prev_inputs (model : Persist.model) = function
-  | None -> Ok None
-  | Some strs ->
-      let iface =
-        Vocabulary.interface (Table.vocabulary model.Persist.table)
+let import ?filtering (model : Persist.model) = function
+  | Portable_sim sp -> (
+      match Multi_sim.Stepper.import (Hmm.copy model.Persist.hmm) sp with
+      | Error e -> Error ("sim state: " ^ e)
+      | Ok st -> Ok { model; backend = Sim st })
+  | Portable_filter fp -> (
+      let filt =
+        match filtering with
+        | Some f -> f
+        | None -> Filtering.create model.Persist.hmm
       in
-      let arity = Interface.arity iface in
-      if Array.length strs <> arity then
-        Error
-          (Printf.sprintf "previous sample has %d signals, interface has %d"
-             (Array.length strs) arity)
-      else begin
-        try
-          Ok
-            (Some
-               (Array.mapi
-                  (fun i s ->
-                    let b = Bits.of_binary_string s in
-                    let w = (Interface.signal iface i).Psm_trace.Signal.width in
-                    if Bits.width b <> w then
-                      failwith
-                        (Printf.sprintf
-                           "previous sample signal %d is %d bits wide, \
-                            expected %d"
-                           i (Bits.width b) w);
-                    b)
-                  strs))
-        with
-        | Failure msg -> Error msg
-        | Invalid_argument _ -> Error "previous sample is not a bit string"
-      end
-
-let import ?filtering (model : Persist.model) p =
-  match decode_prev_inputs model p.portable_prev_inputs with
-  | Error _ as e -> e
-  | Ok prev_inputs -> (
-      let finish backend =
-        Ok
-          { model;
-            backend;
-            input_indexes = input_indexes_of model;
-            prev_inputs;
-            memo = None }
-      in
-      match p.portable_backend with
-      | Portable_sim sp -> (
-          match
-            Multi_sim.Stepper.import (Hmm.copy model.Persist.hmm) sp
-          with
-          | Error e -> Error ("sim state: " ^ e)
-          | Ok st -> finish (Sim st))
-      | Portable_filter fp -> (
-          let filt =
-            match filtering with
-            | Some f -> f
-            | None -> Filtering.create model.Persist.hmm
-          in
-          match Filtering.Stream.import filt fp with
-          | Error e -> Error ("filter state: " ^ e)
-          | Ok s -> finish (Filter (filt, s))))
+      match Filtering.Stream.import filt fp with
+      | Error e -> Error ("filter state: " ^ e)
+      | Ok s -> Ok { model; backend = Filter (filt, s) })

@@ -1,10 +1,10 @@
 (** Session-facing online power estimation over a persisted model — the
     unit of work a serve session wraps.
 
-    An estimate session consumes one observation per clock cycle — either
-    a classified proposition plus the input Hamming distance, or a raw
-    interface sample — and yields the per-cycle (power, PSM state id)
-    pair. Two backends implement the paper's two online views:
+    An estimate session consumes one observation per clock cycle — a
+    classified proposition plus the input Hamming distance
+    ({!Psm_mining.Prop_trace} turns samples into observations) — and
+    yields the per-cycle (power, PSM state id) pair. Two backends implement the paper's two online views:
 
     - [`Sim] — the assertion-cursor co-simulation ({!Psm_hmm.Multi_sim}):
       state ids are exact PSM states, -1 while desynchronized, and the
@@ -36,10 +36,6 @@ val step : t -> ?hd:float -> int option -> float * int
     input Hamming distance [hd] (default 0): returns (power estimate,
     PSM state id; -1 = desynchronized). *)
 
-val step_sample : t -> Psm_bits.Bits.t array -> float * int
-(** Consume one raw interface sample: classification and input Hamming
-    tracking happen inside, exactly as the offline evaluators do it. *)
-
 val cycles : t -> int
 val wrong_instants : t -> int
 val resync_events : t -> int
@@ -56,24 +52,11 @@ val filter_state : t -> (Psm_hmm.Filtering.t * Psm_hmm.Filtering.Stream.state) o
     batch scheduler can sweep many sessions at once
     ({!Psm_hmm.Filtering.Stream.sweep}); [None] for sim sessions. *)
 
-val batched_result : t -> hd:float -> float * int
-(** The per-instant result after an external batched sweep advanced this
-    session's belief — the same bookkeeping {!step} does, factored out so
-    batched and per-session paths cannot drift.
-    @raise Invalid_argument on a sim session. *)
-
-type portable_backend =
+type portable =
   | Portable_sim of Psm_hmm.Multi_sim.Stepper.portable
   | Portable_filter of Psm_hmm.Filtering.Stream.portable
-
-type portable = {
-  portable_backend : portable_backend;
-  portable_prev_inputs : string array option;
-      (** sample-level tracking only: the previous interface sample as
-          big-endian binary strings, in interface order *)
-}
 (** A complete resumable session state as plain data (belief or stepper
-    mode, cursors, ban log, counters, previous inputs) — what a session
+    mode, cursors, ban log, counters) — what a session
     checkpoint serializes, paired with the model name. Checkpoints cross
     a trust boundary, so this is explicit data to encode field by field,
     never a [Marshal] blob (crafted [Marshal] bytes can corrupt the

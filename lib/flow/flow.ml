@@ -300,12 +300,15 @@ let cosim_timed trained (ip : Psm_ips.Ip.t) stimulus =
   Psm_obs.span "flow.cosim" @@ fun () ->
   ip.Psm_ips.Ip.reset ();
   let stepper = Multi_sim.Stepper.create trained.hmm in
+  let observer = Prop_trace.Observer.create trained.table in
   Gc.major ();
   let t0 = Unix.gettimeofday () in
   Array.iter
     (fun pis ->
       let pos, _activity = ip.Psm_ips.Ip.step pis in
-      let sample = Array.append pis pos in
-      ignore (Multi_sim.Stepper.step stepper sample))
+      let obs = Prop_trace.Observer.observe observer (Array.append pis pos) in
+      ignore
+        (Multi_sim.Stepper.step_classified stepper
+           ~hamming:(Prop_trace.Observer.hamming observer) obs))
     stimulus;
   Unix.gettimeofday () -. t0

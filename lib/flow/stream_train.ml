@@ -8,6 +8,7 @@ module Reader = Psm_trace.Reader
 module Bits = Psm_bits.Bits
 module Miner = Psm_mining.Miner
 module Table = Psm_mining.Prop_trace.Table
+module Observer = Psm_mining.Prop_trace.Observer
 module Xu = Psm_core.Xu
 module Psm = Psm_core.Psm
 module Assertion = Psm_core.Assertion
@@ -197,19 +198,18 @@ type core = {
   watermark : int;
   provenance : [ `Full | `Counts ];
   miner : Miner.Incremental.t;
-  mutable table : Table.t option;
+  mutable observer : Observer.t option;
+  (* training phase only: classifies and interns into the frozen
+     proposition table, and carries the previous sample across pushes *)
   mutable phase : phase;
   mutable cycles : int; (* training-phase samples *)
   mutable traces_done : int; (* completed training traces *)
   mutable compactions : int;
-  input_idx : int list;
   (* per-trace scratch *)
   mutable cur_trace : int;
   mutable cur_len : int;
-  mutable prev_inputs : Bits.t array option;
   mutable xu_in_until : bool;
   mutable run_start : int;
-  mutable prev_prop : int;
   buf_power : Fbuf.t;
   buf_ham : Fbuf.t;
   buf_prop : Ibuf.t;
@@ -251,18 +251,15 @@ let create_core ?(config = Flow.default) ?(watermark = default_watermark)
     watermark;
     provenance;
     miner = Miner.Incremental.create ~config:config.Flow.miner iface;
-    table = None;
+    observer = None;
     phase = Mining;
     cycles = 0;
     traces_done = 0;
     compactions = 0;
-    input_idx = List.map fst (Interface.inputs iface);
     cur_trace = 0;
     cur_len = 0;
-    prev_inputs = None;
     xu_in_until = false;
     run_start = 0;
-    prev_prop = -1;
     buf_power = Fbuf.create ();
     buf_ham = Fbuf.create ();
     buf_prop = Ibuf.create ();
@@ -509,56 +506,27 @@ let emit_triplet core pat tstart tstop =
 
 (* ---------- push / end_trace ---------- *)
 
-let same_sample a b = Array.length a = Array.length b && Array.for_all2 Bits.equal a b
-
 let push_training trainer sample ~power =
   let core = trainer.core in
-  let table =
-    match core.table with Some t -> t | None -> assert false
-  in
+  let observer = Option.get core.observer in
   let t = core.cur_len in
-  (* Classification memo: a sample equal to the previous one has the same
-     truth row (hence the same proposition, with no interning to do) and
-     an input Hamming distance of exactly 0 — the dominant self-loop
-     cycles of an idle-heavy trace skip the classify and the copy. *)
-  let memo_hit =
-    match core.prev_inputs with Some prev -> same_sample prev sample | None -> false
-  in
-  let prop = if memo_hit then core.prev_prop else Table.classify_or_add table sample in
-  let ham =
-    match core.prev_inputs with
-    | None -> 0.
-    | Some _ when memo_hit -> 0.
-    | Some prev ->
-        let d =
-          List.fold_left
-            (fun acc i -> acc + Bits.hamming_distance sample.(i) prev.(i))
-            0 core.input_idx
-        in
-        float_of_int d
-  in
+  let prev_prop = Observer.last observer in
+  let prop = Observer.observe_or_add observer sample in
   Fbuf.push core.buf_power power;
-  Fbuf.push core.buf_ham ham;
+  Fbuf.push core.buf_ham (Observer.hamming observer);
   Ibuf.push core.buf_prop prop;
-  if t = 0 then begin
-    core.xu_in_until <- false;
-    core.run_start <- 0
-  end
-  else if prop = core.prev_prop then begin
-    (* Same proposition entered the FIFO: the X state upgrades to U. *)
-    if not core.xu_in_until then core.xu_in_until <- true
-  end
-  else begin
-    let pat =
-      if core.xu_in_until then Xu.Until (core.prev_prop, prop)
-      else Xu.Next (core.prev_prop, prop)
-    in
-    emit_triplet core pat core.run_start (t - 1);
-    core.xu_in_until <- false;
-    core.run_start <- t
-  end;
-  core.prev_prop <- prop;
-  if not memo_hit then core.prev_inputs <- Some (Array.copy sample);
+  (match prev_prop with
+  | None ->
+      core.xu_in_until <- false;
+      core.run_start <- 0
+  | Some prev when prev = prop ->
+      (* Same proposition entered the FIFO: the X state upgrades to U. *)
+      if not core.xu_in_until then core.xu_in_until <- true
+  | Some prev ->
+      let pat = if core.xu_in_until then Xu.Until (prev, prop) else Xu.Next (prev, prop) in
+      emit_triplet core pat core.run_start (t - 1);
+      core.xu_in_until <- false;
+      core.run_start <- t);
   core.cur_len <- t + 1;
   core.cycles <- core.cycles + 1;
   core.since_compact <- core.since_compact + 1;
@@ -579,7 +547,7 @@ let push trainer sample ~power =
   match core.phase with
   | Mining -> (
       match trainer.mine_rle.rsample with
-      | Some s when same_sample s sample ->
+      | Some s when Psm_trace.Functional_trace.same_sample s sample ->
           trainer.mine_rle.rlen <- trainer.mine_rle.rlen + 1
       | _ ->
           flush_mine_rle trainer;
@@ -613,7 +581,7 @@ let end_trace_training trainer =
   core.held_triplet <- None;
   core.prev_uid <- -1;
   core.cur_len <- 0;
-  core.prev_inputs <- None;
+  Option.iter Observer.reset core.observer;
   Fbuf.reset core.buf_power;
   Fbuf.reset core.buf_ham;
   Ibuf.reset core.buf_prop;
@@ -639,7 +607,7 @@ let finish_mining trainer =
   let vocabulary =
     Psm_obs.span "stream.mine" @@ fun () -> Miner.Incremental.vocabulary core.miner
   in
-  core.table <- Some (Table.create vocabulary);
+  core.observer <- Some (Observer.create (Table.create vocabulary));
   core.phase <- Training;
   core.traces_done <- 0;
   core.mine_s <- core.mine_s +. (Unix.gettimeofday () -. t0);
@@ -675,7 +643,7 @@ let finish trainer =
   | Training -> ());
   if core.cur_len > 0 then end_trace_training trainer;
   if core.traces_done = 0 then invalid_arg "Stream_train.finish: no training traces";
-  let table = match core.table with Some t -> t | None -> assert false in
+  let table = Observer.table (Option.get core.observer) in
   let combine_slot = ref 0. in
   let analyze_slot = ref 0. in
   let t0 = Unix.gettimeofday () in
@@ -856,15 +824,18 @@ module Trainer = struct
   let watermark t = t.core.watermark
 
   let table t =
-    match t.core.table with
-    | Some table -> table
+    match t.core.observer with
+    | Some observer -> Observer.table observer
     | None -> invalid_arg "Stream_train.Trainer.table: still mining"
 end
 
 (* ---------- checkpoint / restore ---------- *)
 
 module Checkpoint = struct
-  let version_line = "psm-repro-trainer 1"
+  (* Version 1 kept the previous sample and proposition as loose core
+     fields; version 2 keeps them in the observer. The header keeps a
+     version-1 payload from being unmarshalled into this layout. *)
+  let version_line = "psm-repro-trainer 2"
 
   exception Restore_error of string
 

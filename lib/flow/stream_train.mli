@@ -101,7 +101,7 @@ module Trainer : sig
 end
 
 (** Checkpoint / restore of an in-flight trainer, so a long capture can
-    survive restarts. The format is a ["psm-repro-trainer 1"] version
+    survive restarts. The format is a ["psm-repro-trainer 2"] version
     line, one human-readable summary line, then the marshaled trainer
     state (config excluded — it is re-supplied on restore, keeping the
     payload closure-free). Checkpoints are whole-process artifacts: they
@@ -115,7 +115,8 @@ module Checkpoint : sig
   val save_file : string -> Trainer.t -> unit
 
   val load_file : ?config:Flow.config -> string -> Trainer.t
-  (** Raises {!Restore_error} on a bad header or corrupt payload. *)
+  (** Raises {!Restore_error} on a bad header — a checkpoint of another
+      format version included — or a corrupt payload. *)
 end
 
 val train_stream :

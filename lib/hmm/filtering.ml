@@ -1,6 +1,6 @@
 module Psm = Psm_core.Psm
-module Functional_trace = Psm_trace.Functional_trace
-module Table = Psm_mining.Prop_trace.Table
+module Prop_trace = Psm_mining.Prop_trace
+module Table = Prop_trace.Table
 
 let floor_p = 1e-9
 
@@ -313,14 +313,8 @@ let map_states t observations =
   in
   states
 
-let classify t trace =
-  let table = Psm.prop_table (Hmm.psm t.hmm) in
-  Array.init (Functional_trace.length trace) (fun time ->
-      Table.classify table (Functional_trace.sample trace ~time))
-
 let expected_power t trace =
-  let hd = Functional_trace.input_hamming_series trace in
-  let observations = classify t trace in
+  let observations, hd = Prop_trace.observations (Psm.prop_table (Hmm.psm t.hmm)) trace in
   let power = Array.make (Array.length observations) 0. in
   let (_ : float) =
     forward_iter t observations ~emit:(fun time alpha ->

@@ -1,11 +1,8 @@
 module Psm = Psm_core.Psm
 module Assertion = Psm_core.Assertion
 module Functional_trace = Psm_trace.Functional_trace
-module Interface = Psm_trace.Interface
-module Table = Psm_mining.Prop_trace.Table
-module Bits = Psm_bits.Bits
-
-let same_sample a b = Array.length a = Array.length b && Array.for_all2 Bits.equal a b
+module Prop_trace = Psm_mining.Prop_trace
+module Table = Prop_trace.Table
 
 type config = {
   resync_enabled : bool;
@@ -66,11 +63,8 @@ type mode =
 module Stepper = struct
   type t = {
     config : config;
-    reference : bool; (* executable spec: pre-index scan paths disabled *)
     hmm : Hmm.t;
-    psm : Psm.t;
     table : Table.t;
-    input_indexes : int list;
     assertions : Assertion.t array; (* row -> state assertion *)
     outputs : Psm.output array; (* row -> state output *)
     succ_by_guard : (int * int, int list) Hashtbl.t;
@@ -78,13 +72,6 @@ module Stepper = struct
        regardless of the current (bannable) A mass *)
     rows_by_entry : (int, int list) Hashtbl.t;
     (* entry prop -> rows (ascending) with a matching alternative *)
-    mutable prev_inputs : Bits.t array option;
-    (* Classification memo owned by [step]: the previous sample (a
-       private copy) and its classification. A repeated sample has
-       Hamming distance 0 and the same truth row, so the classify and
-       the copy collapse to one array comparison. Pure cache — never
-       exported in portable checkpoints. *)
-    mutable memo : (Bits.t array * int option) option;
     mutable mode : mode;
     mutable entered_via : (int * int) option;
     mutable progressed : bool; (* the current state matched at least one
@@ -100,11 +87,9 @@ module Stepper = struct
     mutable resync_events : int;
   }
 
-  let create ?(config = default) ?(reference = false) hmm =
+  let create ?(config = default) hmm =
     Hmm.reset_bans hmm;
     let psm = Hmm.psm hmm in
-    let table = Psm.prop_table psm in
-    let iface = Psm_mining.Vocabulary.interface (Table.vocabulary table) in
     let m = Hmm.state_count hmm in
     let state_of_row row = Psm.state psm (Hmm.state_of_row hmm row) in
     let assertions = Array.init m (fun row -> (state_of_row row).Psm.assertion) in
@@ -131,17 +116,12 @@ module Stepper = struct
              Hashtbl.replace rows_by_entry o (row :: prev))
     done;
     { config;
-      reference;
       hmm;
-      psm;
-      table;
-      input_indexes = List.map fst (Interface.inputs iface);
+      table = Psm.prop_table psm;
       assertions;
       outputs;
       succ_by_guard;
       rows_by_entry;
-      prev_inputs = None;
-      memo = None;
       mode = Unstarted;
       entered_via = None;
       progressed = false;
@@ -154,39 +134,30 @@ module Stepper = struct
   let assertion_of_row t row = t.assertions.(row)
   let output_of_row t row = t.outputs.(row)
 
-  (* Choose among candidate rows by filtered belief from [origin]. The
-     indexed path exploits the one-hot belief: predict's output before
-     normalization is exactly row [origin] of A, so predicted.(r) is
-     A(origin, r) over the full ascending row sum — bit-identical to the
-     reference's predict-and-normalize, without the O(m²) product or the
-     two belief allocations. *)
+  (* {!Hmm.predict} of the one-hot belief on [origin_row]: before
+     normalization the product is exactly row [origin_row] of A, so
+     predicted.(r) is A(origin, r) over the full ascending row sum —
+     bit-identical to predict-and-normalize, without the O(m²) product
+     or the two belief allocations. *)
+  let one_hot_prediction t ~origin_row =
+    let m = Hmm.state_count t.hmm in
+    let total = ref 0. in
+    for j = 0 to m - 1 do
+      total := !total +. Hmm.a t.hmm origin_row j
+    done;
+    let total = !total in
+    fun r -> if total > 0. then Hmm.a t.hmm origin_row r /. total else 0.
+
+  (* Choose among candidate rows by filtered belief from [origin]. *)
   let filtered_choice t ~origin_row ~prop ~candidates =
     match candidates with
     | [] -> None
     | [ single ] -> Some single
     | _ ->
-        let score =
-          if t.reference then begin
-            let belief = Array.make (Hmm.state_count t.hmm) 0. in
-            belief.(origin_row) <- 1.;
-            let predicted = Hmm.predict t.hmm belief in
-            fun r -> predicted.(r) *. Hmm.b_entry t.hmm r prop
-          end
-          else begin
-            let m = Hmm.state_count t.hmm in
-            let total = ref 0. in
-            for j = 0 to m - 1 do
-              total := !total +. Hmm.a t.hmm origin_row j
-            done;
-            let total = !total in
-            fun r ->
-              let p =
-                if total > 0. then Hmm.a t.hmm origin_row r /. total else 0.
-              in
-              p *. Hmm.b_entry t.hmm r prop
-          end
+        let predicted = one_hot_prediction t ~origin_row in
+        let scored =
+          List.map (fun r -> (r, predicted r *. Hmm.b_entry t.hmm r prop)) candidates
         in
-        let scored = List.map (fun r -> (r, score r)) candidates in
         let best =
           List.fold_left
             (fun acc (r, score) ->
@@ -197,36 +168,24 @@ module Stepper = struct
         in
         Option.map fst best
 
-  (* Graph successors of [row] through guard [o] (any A mass), ascending. *)
-  let successor_rows t ~row ~o =
-    if t.reference then
-      List.filter_map
-        (fun (tr : Psm.transition) ->
-          if Hmm.row_of_state t.hmm tr.Psm.src = row && tr.Psm.guard = o then
-            Some (Hmm.row_of_state t.hmm tr.Psm.dst)
-          else None)
-        (Psm.transitions t.psm)
-      |> List.sort_uniq Int.compare
-    else Option.value ~default:[] (Hashtbl.find_opt t.succ_by_guard (row, o))
+  (* Graph successors of [row] through guard [prop] (any A mass), ascending. *)
+  let successors t ~row ~prop =
+    Option.value ~default:[] (Hashtbl.find_opt t.succ_by_guard (row, prop))
 
-  (* Rows with an alternative entered by [o], ascending. *)
-  let entry_rows t ~o =
-    if t.reference then
-      List.init (Hmm.state_count t.hmm) Fun.id
-      |> List.filter (fun r -> start_cursors (assertion_of_row t r) o <> [])
-    else Option.value ~default:[] (Hashtbl.find_opt t.rows_by_entry o)
+  (* Rows with an alternative entered by [prop], ascending. *)
+  let entries t ~prop = Option.value ~default:[] (Hashtbl.find_opt t.rows_by_entry prop)
 
   (* Enter some state reachable from [origin_row] (or, failing that,
      anywhere) on entry proposition [o]. *)
   let try_jump t ~origin_row ~o =
     let reachable =
-      successor_rows t ~row:origin_row ~o
+      successors t ~row:origin_row ~prop:o
       |> List.filter (fun dst -> Hmm.a t.hmm origin_row dst > 0.)
       |> List.filter (fun r -> start_cursors (assertion_of_row t r) o <> [])
     in
     let candidates =
       if reachable <> [] then reachable
-      else entry_rows t ~o |> List.filter (fun r -> Hmm.b_entry t.hmm r o > 0.)
+      else entries t ~prop:o |> List.filter (fun r -> Hmm.b_entry t.hmm r o > 0.)
     in
     match filtered_choice t ~origin_row ~prop:o ~candidates with
     | Some r -> Some (Synced { row = r; cursors = start_cursors (assertion_of_row t r) o })
@@ -235,7 +194,7 @@ module Stepper = struct
   (* First instant: the π-weighted choice among states recognizing o. *)
   let initialize t o =
     let pi = Hmm.initial_belief t.hmm in
-    let candidates = entry_rows t ~o in
+    let candidates = entries t ~prop:o in
     let scored =
       List.map (fun r -> (r, pi.(r) +. (1e-9 *. Hmm.b_entry t.hmm r o))) candidates
     in
@@ -262,7 +221,7 @@ module Stepper = struct
      the machine should remain in place (the paper: the simulation
      "proceeds by remaining in the last valid state"). *)
   let take_transition t ~row ~o =
-    let successors = successor_rows t ~row ~o in
+    let successors = successors t ~row ~prop:o in
     if successors = [] then `No_edge
     else begin
       let rec attempt banned =
@@ -321,26 +280,9 @@ module Stepper = struct
       | None -> Desynced { origin_row }
     end
 
-  let input_hamming t sample =
-    let hd =
-      match t.prev_inputs with
-      | None -> 0
-      | Some prev ->
-          List.fold_left
-            (fun acc i -> acc + Bits.hamming_distance sample.(i) prev.(i))
-            0 t.input_indexes
-    in
-    t.prev_inputs <- Some (Array.copy sample);
-    float_of_int hd
-
   let classify t sample = Table.classify t.table sample
 
-  (* The cursor/transition state machine after sample classification —
-     the entry point for proposition-level streaming (serve sessions
-     whose client sends classified observations plus input Hamming
-     distances instead of raw samples). [step] is this preceded by
-     [input_hamming] and [classify]; feeding the same trace through
-     either path is bit-identical. *)
+  (* The cursor/transition state machine over one observation. *)
   let step_classified t ~hamming:hd o_opt =
     let initialized_now =
       match (t.mode, o_opt) with
@@ -435,22 +377,6 @@ module Stepper = struct
         (Psm.eval_output (output_of_row t origin_row) ~hamming:hd, -1)
     | Unstarted -> assert false
 
-  let step t sample =
-    match t.memo with
-    | Some (prev, obs) when same_sample prev sample ->
-        (* Identical sample: inputs unchanged (Hamming 0) and the same
-           truth row classifies identically; [prev_inputs] already holds
-           an equal array, so the reference updates are all no-ops. *)
-        step_classified t ~hamming:0. obs
-    | _ ->
-        let hd = input_hamming t sample in
-        let obs = classify t sample in
-        (* [input_hamming] just stored a private copy of [sample]. *)
-        (match t.prev_inputs with
-        | Some copy -> t.memo <- Some (copy, obs)
-        | None -> t.memo <- None);
-        step_classified t ~hamming:hd obs
-
   let cycles t = t.cycles
   let wrong_instants t = t.wrong_instants
   let resync_events t = t.resync_events
@@ -460,15 +386,14 @@ module Stepper = struct
      The stepper's resumable state as plain validated data. No internal
      structure crosses the boundary: cursors travel as (alternative
      index, position) into the state's assertion and are rebuilt from
-     the target model on import, samples travel as binary strings. The
-     serve wire encodes this — never [Marshal] bytes, which a hostile
-     client could craft to corrupt the daemon. *)
+     the target model on import. The serve wire encodes this — never
+     [Marshal] bytes, which a hostile client could craft to corrupt the
+     daemon. *)
 
   type portable_mode =
     [ `Unstarted | `Synced of int * (int * int) list | `Desynced of int ]
 
   type portable = {
-    p_prev_inputs : string array option;
     p_mode : portable_mode;
     p_entered_via : (int * int) option;
     p_progressed : bool;
@@ -492,9 +417,7 @@ module Stepper = struct
     find 0 (Assertion.alternatives t.assertions.(row))
 
   let export t =
-    { p_prev_inputs =
-        Option.map (Array.map Bits.to_binary_string) t.prev_inputs;
-      p_mode =
+    { p_mode =
         (match t.mode with
         | Unstarted -> `Unstarted
         | Desynced { origin_row } -> `Desynced origin_row
@@ -510,38 +433,6 @@ module Stepper = struct
       p_wrong_instants = t.wrong_instants;
       p_resync_events = t.resync_events;
       p_bans = List.rev t.ban_log }
-
-  let decode_prev_inputs t = function
-    | None -> Ok None
-    | Some strs ->
-        let iface =
-          Psm_mining.Vocabulary.interface (Table.vocabulary t.table)
-        in
-        let arity = Interface.arity iface in
-        if Array.length strs <> arity then
-          Error
-            (Printf.sprintf "previous sample has %d signals, interface has %d"
-               (Array.length strs) arity)
-        else begin
-          try
-            Ok
-              (Some
-                 (Array.mapi
-                    (fun i s ->
-                      let b = Bits.of_binary_string s in
-                      let w = (Interface.signal iface i).Psm_trace.Signal.width in
-                      if Bits.width b <> w then
-                        failwith
-                          (Printf.sprintf
-                             "previous sample signal %d is %d bits wide, \
-                              expected %d"
-                             i (Bits.width b) w);
-                      b)
-                    strs))
-          with
-          | Failure msg -> Error msg
-          | Invalid_argument _ -> Error "previous sample is not a bit string"
-        end
 
   let import ?config hmm p =
     let t = create ?config hmm in
@@ -602,51 +493,42 @@ module Stepper = struct
       in
       match mode with
       | Error _ as e -> e
-      | Ok mode -> (
-          match decode_prev_inputs t p.p_prev_inputs with
-          | Error _ as e -> e
-          | Ok prev_inputs ->
-              (* [create] reset the bans, so replaying the validated log
-                 in its original order rebuilds the banned A
-                 float-for-float (each ban renormalizes its source row
-                 sequentially). *)
-              List.iter
-                (fun (src, dst) -> Hmm.ban hmm ~src_row:src ~dst_row:dst)
-                p.p_bans;
-              t.ban_log <- List.rev p.p_bans;
-              t.bans_active <- p.p_bans <> [];
-              t.prev_inputs <- prev_inputs;
-              t.mode <- mode;
-              t.entered_via <- p.p_entered_via;
-              t.progressed <- p.p_progressed;
-              t.cycles <- p.p_cycles;
-              t.wrong_instants <- p.p_wrong_instants;
-              t.resync_events <- p.p_resync_events;
-              Ok t)
+      | Ok mode ->
+          (* [create] reset the bans, so replaying the validated log in
+             its original order rebuilds the banned A float-for-float
+             (each ban renormalizes its source row sequentially). *)
+          List.iter (fun (src, dst) -> Hmm.ban hmm ~src_row:src ~dst_row:dst) p.p_bans;
+          t.ban_log <- List.rev p.p_bans;
+          t.bans_active <- p.p_bans <> [];
+          t.mode <- mode;
+          t.entered_via <- p.p_entered_via;
+          t.progressed <- p.p_progressed;
+          t.cycles <- p.p_cycles;
+          t.wrong_instants <- p.p_wrong_instants;
+          t.resync_events <- p.p_resync_events;
+          Ok t
 end
 
-let simulate ?config ?reference hmm trace =
+let simulate ?config hmm trace =
   Psm_obs.span "hmm.multi_sim" @@ fun () ->
-  let stepper =
-    Stepper.create ?config ?reference hmm
-  in
+  let stepper = Stepper.create ?config hmm in
   let n = Functional_trace.length trace in
   let estimate = Array.make n 0. in
   let state_trace = Array.make n (-1) in
-  Functional_trace.iter
-    (fun t sample ->
-      let e, sid = Stepper.step stepper sample in
-      estimate.(t) <- e;
-      state_trace.(t) <- sid)
-    trace;
+  Prop_trace.iter_observations (Psm.prop_table (Hmm.psm hmm)) trace
+    (fun ~start ~len obs ~hamming ->
+      for time = start to start + len - 1 do
+        let e, sid =
+          Stepper.step_classified stepper
+            ~hamming:(if time = start then hamming else 0.)
+            obs
+        in
+        estimate.(time) <- e;
+        state_trace.(time) <- sid
+      done);
   let wrong = Stepper.wrong_instants stepper in
   { estimate;
     state_trace;
     wrong_instants = wrong;
     wsp = (if n = 0 then 0. else float_of_int wrong /. float_of_int n);
     resync_events = Stepper.resync_events stepper }
-
-let simulate_timed ?config hmm trace =
-  let t0 = Unix.gettimeofday () in
-  let result = simulate ?config hmm trace in
-  (result, Unix.gettimeofday () -. t0)

@@ -38,43 +38,31 @@ type result = {
   resync_events : int;
 }
 
-val simulate :
-  ?config:config -> ?reference:bool -> Hmm.t -> Psm_trace.Functional_trace.t -> result
-(** [reference] (default [false]) disables the precomputed
-    successor/entry indexes and runs the original transition-list scans
-    and a full {!Hmm.predict} per choice — the executable specification
-    that the equivalence tests and the bench compare the indexed stepper
-    against. No production path sets it. *)
+val simulate : ?config:config -> Hmm.t -> Psm_trace.Functional_trace.t -> result
+(** Steps the trace's observations
+    ({!Psm_mining.Prop_trace.iter_observations}) through a fresh
+    {!Stepper}. *)
 
-val simulate_timed :
-  ?config:config -> Hmm.t -> Psm_trace.Functional_trace.t -> result * float
-(** Result plus wall-clock seconds (Table III's IP+PSMs overhead
-    accounting). *)
-
-(** Streaming interface for cycle-by-cycle co-simulation with a live IP
-    model ({!simulate} is implemented on top of it). *)
+(** The state machine one observation at a time, for cycle-by-cycle
+    co-simulation with a live IP model and for serve sessions
+    ({!simulate} is implemented on top of it). It consumes observations
+    only: live sample feeds classify through
+    {!Psm_mining.Prop_trace.Observer}. *)
 module Stepper : sig
   type t
 
-  val create : ?config:config -> ?reference:bool -> Hmm.t -> t
-  (** Resets the HMM's banned transitions. [reference] as in
-      {!simulate}. *)
-
-  val step : t -> Psm_bits.Bits.t array -> float * int
-  (** [step t sample] consumes one full interface sample (inputs then
-      outputs, in interface order) and returns (power estimate, current
-      PSM state id or -1 when desynchronized). *)
+  val create : ?config:config -> Hmm.t -> t
+  (** Resets the HMM's banned transitions. *)
 
   val classify : t -> Psm_bits.Bits.t array -> int option
   (** The proposition the model's table assigns to a sample ([None] =
-      unknown behaviour) — what {!step} feeds the state machine. *)
+      unknown behaviour). *)
 
   val step_classified : t -> hamming:float -> int option -> float * int
-  (** Proposition-level step: the state machine after classification.
-      [step t sample] ≡ [step_classified t ~hamming:(input Hamming
-      distance to the previous sample) (classify t sample)] — serve
-      sessions streaming classified observations take this entry and are
-      bit-identical to sample-level stepping of the same trace. *)
+  (** Consume one observation — a proposition ([None] = unknown
+      behaviour) and the input Hamming distance to the previous sample —
+      and return (power estimate, current PSM state id or -1 when
+      desynchronized). *)
 
   val cycles : t -> int
   val wrong_instants : t -> int
@@ -88,9 +76,6 @@ module Stepper : sig
     | `Desynced of int  (** origin state row *) ]
 
   type portable = {
-    p_prev_inputs : string array option;
-        (** previous interface sample as big-endian binary strings, in
-            interface order *)
     p_mode : portable_mode;
     p_entered_via : (int * int) option;  (** (src row, dst row) *)
     p_progressed : bool;
@@ -100,7 +85,7 @@ module Stepper : sig
     p_bans : (int * int) list;  (** (src row, dst row), oldest first *)
   }
   (** The stepper's complete resumable state as plain data: mode and
-      live cursors, previous inputs, counters, and the ordered log of A
+      live cursors, counters, and the ordered log of A
       bans since the last reset. This — not [Marshal] bytes, which are
       unsafe to decode from an untrusted source — is what session
       checkpoints serialize. *)
@@ -110,10 +95,27 @@ module Stepper : sig
   val import : ?config:config -> Hmm.t -> portable -> (t, string) Stdlib.result
   (** A stepper continuing exactly where {!export} was taken: every
       field is validated against [hmm]'s model (row bounds, cursor
-      alternative/position bounds, ban-log bounds, sample widths) before
+      alternative/position bounds, ban-log bounds) before
       any state is built, then the logged bans are replayed in order
       onto [hmm] (whose bans are reset first), reproducing the banned A
       float-for-float — stepping the imported stepper is bit-identical
       to never having stopped. [hmm] must be (a {!Hmm.copy} of) the
       model the export was taken on. *)
+
+  (**/**)
+
+  (* Introspection for the equivalence properties in the test suite. *)
+
+  val successors : t -> row:int -> prop:int -> int list
+  (** Graph successor rows of [row] through guard [prop], ascending —
+      read from the precomputed index. *)
+
+  val entries : t -> prop:int -> int list
+  (** Rows with an alternative entered by [prop], ascending — read from
+      the precomputed index. *)
+
+  val one_hot_prediction : t -> origin_row:int -> int -> float
+  (** [one_hot_prediction t ~origin_row r] is what {!Hmm.predict} of the
+      one-hot belief on [origin_row] holds at row [r], computed from row
+      [origin_row] of the current (possibly banned) A. *)
 end

@@ -1,6 +1,6 @@
 module Psm = Psm_core.Psm
-module Functional_trace = Psm_trace.Functional_trace
-module Table = Psm_mining.Prop_trace.Table
+module Prop_trace = Psm_mining.Prop_trace
+module Table = Prop_trace.Table
 
 (* Smoothing floor: keeps the lattice connected through observations or
    transitions absent from training, at negligible cost to likelihoods
@@ -180,22 +180,18 @@ let max_product hmm observations =
 let viterbi hmm observations =
   if Array.length observations = 0 then [||] else max_product hmm observations
 
-let classify_trace hmm trace =
-  let table = Psm.prop_table (Hmm.psm hmm) in
-  Array.init (Functional_trace.length trace) (fun time ->
-      Table.classify table (Functional_trace.sample trace ~time))
+let observations hmm trace = Prop_trace.observations (Psm.prop_table (Hmm.psm hmm)) trace
 
 let decode hmm trace =
-  let rows = viterbi hmm (classify_trace hmm trace) in
-  Array.map (Hmm.state_of_row hmm) rows
+  Array.map (Hmm.state_of_row hmm) (viterbi hmm (fst (observations hmm trace)))
 
 let estimate hmm trace =
   let psm = Hmm.psm hmm in
-  let hd = Functional_trace.input_hamming_series trace in
-  let ids = decode hmm trace in
+  let obs, hd = observations hmm trace in
   Array.mapi
-    (fun t id -> Psm.eval_output (Psm.state psm id).Psm.output ~hamming:hd.(t))
-    ids
+    (fun t row ->
+      Psm.eval_output (Psm.state psm (Hmm.state_of_row hmm row)).Psm.output ~hamming:hd.(t))
+    (viterbi hmm obs)
 
 let evaluate hmm trace ~reference =
   Accuracy.of_estimate ~reference ~estimate:(estimate hmm trace) ~wsp:0.

@@ -233,6 +233,87 @@ let holds_exactly_one t trace =
        !ok
      end
 
+(* ---------- observations ---------- *)
+
+let iter_observations table trace f =
+  let inputs = Functional_trace.input_signals (Functional_trace.interface trace) in
+  let prev = ref None in
+  Functional_trace.iter_runs
+    (fun ~start ~len sample ->
+      let hamming =
+        match !prev with
+        | None -> 0.
+        | Some p -> float_of_int (Functional_trace.input_distance ~inputs sample p)
+      in
+      prev := Some sample;
+      f ~start ~len (Table.classify table sample) ~hamming)
+    trace
+
+let observations table trace =
+  let n = Functional_trace.length trace in
+  let props = Array.make n None and hammings = Array.make n 0. in
+  iter_observations table trace (fun ~start ~len obs ~hamming ->
+      Array.fill props start len obs;
+      hammings.(start) <- hamming);
+  (props, hammings)
+
+module Observer = struct
+  type t = {
+    table : Table.t;
+    inputs : int array;
+    mutable prev : Psm_bits.Bits.t array option; (* private copy *)
+    mutable last : int option;
+    mutable distance : int; (* an int: updating it needs no write barrier *)
+  }
+  (* Plain data, no closures: the streaming trainer marshals its
+     observer into checkpoints. *)
+
+  let create table =
+    { table;
+      inputs =
+        Functional_trace.input_signals (Vocabulary.interface (Table.vocabulary table));
+      prev = None;
+      last = None;
+      distance = 0 }
+
+  let table t = t.table
+  let last t = t.last
+  let hamming t = float_of_int t.distance
+
+  let reset t =
+    t.prev <- None;
+    t.last <- None;
+    t.distance <- 0
+
+  (* True when [sample] repeats the previous one: the same truth row and
+     an input distance of exactly 0, so the classification is reused.
+     Otherwise the distance is taken and the sample copied. *)
+  let repeats t sample =
+    match t.prev with
+    | Some prev when Functional_trace.same_sample prev sample ->
+        t.distance <- 0;
+        true
+    | prev ->
+        t.distance <-
+          (match prev with
+          | None -> 0
+          | Some p -> Functional_trace.input_distance ~inputs:t.inputs sample p);
+        t.prev <- Some (Array.copy sample);
+        false
+
+  let observe t sample =
+    if not (repeats t sample) then t.last <- Table.classify t.table sample;
+    t.last
+
+  let observe_or_add t sample =
+    match (repeats t sample, t.last) with
+    | true, Some id -> id
+    | _ ->
+        let id = Table.classify_or_add t.table sample in
+        t.last <- Some id;
+        id
+end
+
 let pp fmt t =
   Format.fprintf fmt "@[<v>proposition trace, %d instants, %d propositions:@,"
     (length t) (Table.prop_count t.table);

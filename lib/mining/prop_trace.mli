@@ -82,4 +82,61 @@ val holds_exactly_one : t -> Psm_trace.Functional_trace.t -> bool
     trace: at every instant the recorded proposition (and no other
     interned proposition) holds. *)
 
+(** {1 Observations}
+
+    What the estimators read at each instant (paper Sec. V): the
+    proposition the sample satisfies ([None] = a truth row training never
+    saw) and the input Hamming distance to the previous sample
+    ({!Psm_trace.Functional_trace.input_distance}), which data-dependent
+    states regress on. This is where samples become observations; the
+    estimators consume observations only. *)
+
+val iter_observations :
+  Table.t ->
+  Psm_trace.Functional_trace.t ->
+  (start:int -> len:int -> int option -> hamming:float -> unit) ->
+  unit
+(** [iter_observations table trace f] calls [f ~start ~len obs ~hamming]
+    once per run of identical samples, in time order, with one
+    {!Table.classify} per run. [hamming] is the input distance of instant
+    [start] to instant [start - 1] (0 at instant 0); every later instant
+    of the run repeats its predecessor, so its distance is 0. *)
+
+val observations :
+  Table.t -> Psm_trace.Functional_trace.t -> int option array * float array
+(** Per-instant array form of {!iter_observations} — (observation, input
+    Hamming distance) indexed by time, for the offline consumers
+    (forward filtering, Viterbi). *)
+
+(** The live form, for samples that arrive one at a time (co-simulation,
+    the streaming trainer). It keeps a private copy of the previous
+    sample: a repeated sample reuses the previous classification and has
+    distance 0. Feeding a trace's samples in order yields exactly
+    {!observations}. *)
+module Observer : sig
+  type t
+
+  val create : Table.t -> t
+  val table : t -> Table.t
+
+  val observe : t -> Psm_bits.Bits.t array -> int option
+  (** Classify the next sample ([None] = unknown row); {!hamming} then
+      reads its input distance. The array is copied where retained. *)
+
+  val observe_or_add : t -> Psm_bits.Bits.t array -> int
+  (** {!observe} with {!Table.classify_or_add}: interns a new row
+      (training). *)
+
+  val hamming : t -> float
+  (** Input distance of the last observed sample to the one before it;
+      0 for the first sample since {!create} or {!reset}. *)
+
+  val last : t -> int option
+  (** The last observation; [None] before the first sample since
+      {!create} or {!reset}. *)
+
+  val reset : t -> unit
+  (** Forget the previous sample (a trace boundary). *)
+end
+
 val pp : Format.formatter -> t -> unit

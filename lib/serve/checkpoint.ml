@@ -15,14 +15,12 @@ let pair_list pairs =
   Json.List
     (List.map (fun (a, b) -> Json.List [ num_int a; num_int b ]) pairs)
 
-let strings_opt = function
-  | None -> Json.Null
-  | Some arr ->
-      Json.List (Array.to_list (Array.map (fun s -> Json.Str s) arr))
-
+(* Version 2 blobs written before sessions consumed observations only
+   also carried "prev_inputs" and "sim_prev_inputs", always null; the
+   decoder ignores both keys, so those blobs still restore. *)
 let payload_of ~model (p : Estimate.portable) =
   let backend_fields =
-    match p.Estimate.portable_backend with
+    match p with
     | Estimate.Portable_filter fp ->
         [ ("backend", Json.Str "filter");
           ("steps", num_int fp.Stream.p_steps);
@@ -44,7 +42,6 @@ let payload_of ~model (p : Estimate.portable) =
             | `Desynced row ->
                 Json.Obj
                   [ ("kind", Json.Str "desynced"); ("row", num_int row) ] );
-          ("sim_prev_inputs", strings_opt sp.Stepper.p_prev_inputs);
           ( "entered_via",
             match sp.Stepper.p_entered_via with
             | None -> Json.Null
@@ -56,10 +53,7 @@ let payload_of ~model (p : Estimate.portable) =
           ("bans", pair_list sp.Stepper.p_bans) ]
   in
   Json.to_string
-    (Json.Obj
-       (("model", Json.Str model)
-       :: ("prev_inputs", strings_opt p.Estimate.portable_prev_inputs)
-       :: backend_fields))
+    (Json.Obj (("model", Json.Str model) :: backend_fields))
 
 let encode ~model portable =
   let payload = payload_of ~model portable in
@@ -72,7 +66,7 @@ let encode ~model portable =
    Shape-level validation only: every field must be present with the
    right JSON type (floats finite — the printer turns NaN/inf into
    [null], which fails here). Semantic validation against the target
-   model (row bounds, belief length, sample widths, …) happens in
+   model (row bounds, belief length, cursor bounds, …) happens in
    {!Psm_flow.Estimate.import}, which rebuilds the session. *)
 
 let ( let* ) = Result.bind
@@ -118,18 +112,6 @@ let pairs_field j name =
       in
       loop [] items
 
-let strings_opt_field j name =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.List items) ->
-      let rec loop acc = function
-        | [] -> Ok (Some (Array.of_list (List.rev acc)))
-        | Json.Str s :: rest -> loop (s :: acc) rest
-        | _ -> err "%S entries must be strings" name
-      in
-      loop [] items
-  | Some _ -> err "field %S must be an array or null" name
-
 let filter_backend j =
   let* steps = int_field j "steps" in
   let* log_lik = float_field j "log_lik" in
@@ -167,7 +149,6 @@ let sim_backend j =
             Ok (`Synced (row, cursors))
         | other -> err "unknown mode kind %S" other)
   in
-  let* prev_inputs = strings_opt_field j "sim_prev_inputs" in
   let* entered_via =
     match Json.member "entered_via" j with
     | None | Some Json.Null -> Ok None
@@ -182,8 +163,7 @@ let sim_backend j =
   let* bans = pairs_field j "bans" in
   Ok
     (Estimate.Portable_sim
-       { Stepper.p_prev_inputs = prev_inputs;
-         p_mode = mode;
+       { Stepper.p_mode = mode;
          p_entered_via = entered_via;
          p_progressed = progressed;
          p_cycles = cycles;
@@ -193,7 +173,6 @@ let sim_backend j =
 
 let parse_payload j =
   let* model = string_field j "model" in
-  let* prev_inputs = strings_opt_field j "prev_inputs" in
   let* backend_kind = string_field j "backend" in
   let* backend =
     match backend_kind with
@@ -201,10 +180,7 @@ let parse_payload j =
     | "sim" -> sim_backend j
     | other -> err "unknown backend %S" other
   in
-  Ok
-    ( model,
-      { Estimate.portable_backend = backend;
-        portable_prev_inputs = prev_inputs } )
+  Ok (model, backend)
 
 let decode data =
   match String.index_opt data '\n' with

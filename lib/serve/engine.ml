@@ -1,5 +1,6 @@
 module Psm = Psm_core.Psm
-module Table = Psm_mining.Prop_trace.Table
+module Prop_trace = Psm_mining.Prop_trace
+module Table = Prop_trace.Table
 module Vocabulary = Psm_mining.Vocabulary
 module Interface = Psm_trace.Interface
 module Functional_trace = Psm_trace.Functional_trace
@@ -290,27 +291,16 @@ let vcd_chunk t ~id ~chunk ~last =
                     signals)"
                    session.model_name)
             else begin
-              (* Classification and input-Hamming tracking happen here,
-                 exactly as the offline evaluators compute them, then the
-                 upload rides the same proposition queue as [observe]. *)
-              let hd = Functional_trace.input_hamming_series trace in
-              let n = Functional_trace.length trace in
-              (* One classification per run of identical samples; the
-                 queued codes and Hamming values equal per-sample
-                 classification's (identical samples classify
-                 identically, and [hd] is still read per instant). *)
-              Functional_trace.iter_runs
-                (fun ~start ~len sample ->
-                  let code =
-                    match Table.classify table sample with
-                    | Some p -> p
-                    | None -> -1
-                  in
-                  for time = start to start + len - 1 do
-                    Ring.push session.queue code hd.(time)
-                  done)
-                trace;
-              Ok n
+              (* The upload's observations ride the same queue as
+                 [observe]'s. *)
+              Prop_trace.iter_observations table trace
+                (fun ~start:_ ~len obs ~hamming ->
+                  let code = match obs with Some p -> p | None -> -1 in
+                  Ring.push session.queue code hamming;
+                  for _ = 2 to len do
+                    Ring.push session.queue code 0.
+                  done);
+              Ok (Functional_trace.length trace)
             end
       end
 
@@ -569,7 +559,7 @@ let restore_session t ~id data =
                built) for filter sessions; a sim checkpoint must not pay
                for it. *)
             let filtering =
-              match portable.Estimate.portable_backend with
+              match portable with
               | Estimate.Portable_filter _ ->
                   Some (filtering_for t model_name m)
               | Estimate.Portable_sim _ -> None

@@ -3,6 +3,7 @@ module Interface = Psm_trace.Interface
 module Signal_decl = Psm_trace.Signal
 module Ip = Psm_ips.Ip
 module Multi_sim = Psm_hmm.Multi_sim
+module Observer = Psm_mining.Prop_trace.Observer
 module Power_model = Psm_rtl.Power_model
 
 type t = {
@@ -57,10 +58,13 @@ let build kernel ~clock ~ip ~hmm ~stimulus =
       end);
   (* PSM module: a pure observer on the analysis port. *)
   let stepper = Multi_sim.Stepper.create hmm in
+  let observer = Observer.create (Psm_core.Psm.prop_table (Psm_hmm.Hmm.psm hmm)) in
   Kernel.Signal.on_change analysis (fun () ->
       if t.cycle < total then begin
-        let sample = Kernel.Signal.read analysis in
-        let estimate, _state = Multi_sim.Stepper.step stepper sample in
+        let obs = Observer.observe observer (Kernel.Signal.read analysis) in
+        let estimate, _state =
+          Multi_sim.Stepper.step_classified stepper ~hamming:(Observer.hamming observer) obs
+        in
         Kernel.Signal.write power estimate;
         t.est.(t.cycle) <- estimate;
         t.cycle <- t.cycle + 1

@@ -111,20 +111,21 @@ let append a b =
     invalid_arg "Functional_trace.append: different interfaces";
   { interface = a.interface; samples = Array.append a.samples b.samples; runs_cache = None }
 
-let input_hamming_series t =
-  let input_idx = List.map fst (Interface.inputs t.interface) in
-  let n = length t in
-  let series = Array.make (max n 0) 0. in
-  for time = 1 to n - 1 do
-    let d =
-      List.fold_left
-        (fun acc i ->
-          acc + Bits.hamming_distance t.samples.(time).(i) t.samples.(time - 1).(i))
-        0 input_idx
-    in
-    series.(time) <- float_of_int d
+let input_signals iface = Array.of_list (List.map fst (Interface.inputs iface))
+
+let input_distance ~inputs a b =
+  let d = ref 0 in
+  for k = 0 to Array.length inputs - 1 do
+    let i = inputs.(k) in
+    d := !d + Bits.hamming_distance a.(i) b.(i)
   done;
-  series
+  !d
+
+let input_hamming_series t =
+  let inputs = input_signals t.interface in
+  Array.init (length t) (fun time ->
+      if time = 0 then 0.
+      else float_of_int (input_distance ~inputs t.samples.(time) t.samples.(time - 1)))
 
 let equal a b =
   Interface.equal a.interface b.interface

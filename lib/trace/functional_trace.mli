@@ -58,10 +58,23 @@ val sub : t -> start:int -> stop:int -> t
 val append : t -> t -> t
 (** Concatenate two traces over the same interface. *)
 
+val same_sample : Psm_bits.Bits.t array -> Psm_bits.Bits.t array -> bool
+(** Two samples with equal values on every signal — what one run of
+    {!runs} repeats. *)
+
+val input_signals : Interface.t -> int array
+(** Indexes of the primary inputs, in interface order: the [inputs]
+    argument of {!input_distance}. *)
+
+val input_distance : inputs:int array -> Psm_bits.Bits.t array -> Psm_bits.Bits.t array -> int
+(** [input_distance ~inputs a b] is the Hamming distance between the
+    primary-input values of samples [a] and [b] — the regressor of the
+    data-dependent-state calibration. Every consumer of input Hamming
+    distances reads this one sum. *)
+
 val input_hamming_series : t -> float array
-(** Element [i] is the Hamming distance between the concatenated
-    primary-input values at instants [i] and [i - 1]; element 0 is 0.
-    This is the regressor of the data-dependent-state calibration. *)
+(** Element [i] is {!input_distance} between instants [i] and [i - 1];
+    element 0 is 0. *)
 
 val equal : t -> t -> bool
 val pp_summary : Format.formatter -> t -> unit

@@ -27,8 +27,6 @@ module Hmm = Psm_hmm.Hmm
 module Multi_sim = Psm_hmm.Multi_sim
 module Analyzer = Psm_analysis.Analyzer
 module Flow = Psm_flow.Flow
-module Persist = Psm_flow.Persist
-module Estimate = Psm_flow.Estimate
 
 let miner ?(config = Miner.default) traces =
   match traces with
@@ -179,9 +177,3 @@ let simulate hmm trace =
   Array.map
     (fun (obs, hamming) -> Multi_sim.Stepper.step_classified stepper ~hamming obs)
     (observations (Psm.prop_table (Hmm.psm hmm)) trace)
-
-let filter (model : Persist.model) trace =
-  let est = Estimate.of_model ~mode:`Filter model in
-  Array.map
-    (fun (obs, hd) -> Estimate.step est ~hd obs)
-    (observations model.Persist.table trace)

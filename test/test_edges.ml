@@ -73,7 +73,10 @@ let test_stepper_counts_cycles () =
   let table, trace, gamma, delta = tiny_world [ 0; 0; 1; 1; 0; 0 ] in
   let psm = Psm_core.Generator.generate (Psm.empty table) ~trace:0 gamma delta in
   let stepper = Multi_sim.Stepper.create (Hmm.build psm) in
-  FT.iter (fun _ sample -> ignore (Multi_sim.Stepper.step stepper sample)) trace;
+  FT.iter
+    (fun _ sample ->
+      ignore (Multi_sim.Stepper.step_classified stepper ~hamming:0. (Multi_sim.Stepper.classify stepper sample)))
+    trace;
   check_int "cycles" 6 (Multi_sim.Stepper.cycles stepper)
 
 (* ---------- XU automaton protocol ---------- *)

@@ -221,9 +221,13 @@ let test_stepper_incremental_matches_batch () =
   let hmm = Hmm.build psm in
   let batch = Multi_sim.simulate hmm trace in
   let stepper = Multi_sim.Stepper.create hmm in
+  let observer = Prop_trace.Observer.create (Psm.prop_table psm) in
   FT.iter
     (fun t sample ->
-      let e, sid = Multi_sim.Stepper.step stepper sample in
+      let obs = Prop_trace.Observer.observe observer sample in
+      let e, sid =
+        Multi_sim.Stepper.step_classified stepper ~hamming:(Prop_trace.Observer.hamming observer) obs
+      in
       close "same estimate" batch.Multi_sim.estimate.(t) e;
       check_int "same state" batch.Multi_sim.state_trace.(t) sid)
     trace
@@ -355,9 +359,71 @@ let fill_dense hmm =
     Array.iteri (fun j w -> Hmm.unsafe_set_a hmm ~row:i ~col:j (w /. total)) weights
   done
 
+(* ---------- the stepper's indexes and one-hot choice ---------- *)
+
+(* What the stepper's precomputed indexes must hold: scans over the
+   transition list and over the state assertions. *)
+let scan_successors hmm ~row ~prop =
+  Psm.transitions (Hmm.psm hmm)
+  |> List.filter_map (fun (tr : Psm.transition) ->
+         if Hmm.row_of_state hmm tr.Psm.src = row && tr.Psm.guard = prop then
+           Some (Hmm.row_of_state hmm tr.Psm.dst)
+         else None)
+  |> List.sort_uniq Int.compare
+
+let scan_entries hmm ~prop =
+  let psm = Hmm.psm hmm in
+  List.init (Hmm.state_count hmm) Fun.id
+  |> List.filter (fun row ->
+         Assertion.alternatives (Psm.state psm (Hmm.state_of_row hmm row)).Psm.assertion
+         |> List.exists (fun alternative -> Assertion.entry_props alternative = [ prop ]))
+
+(* Every (row, proposition) pair, plus one proposition past the table. *)
+let indexes_match hmm =
+  let stepper = Multi_sim.Stepper.create (Hmm.copy hmm) in
+  let rows = List.init (Hmm.state_count hmm) Fun.id in
+  List.init (Table.prop_count (Psm.prop_table (Hmm.psm hmm)) + 1) Fun.id
+  |> List.for_all (fun prop ->
+         Multi_sim.Stepper.entries stepper ~prop = scan_entries hmm ~prop
+         && List.for_all
+              (fun row ->
+                Multi_sim.Stepper.successors stepper ~row ~prop = scan_successors hmm ~row ~prop)
+              rows)
+
+(* The stepper's one-hot shortcut against [Hmm.predict] of the one-hot
+   belief, bit for bit, from every origin row of [hmm]'s current A
+   (which [stepper] reads live). *)
+let one_hot_matches stepper hmm =
+  let m = Hmm.state_count hmm in
+  List.init m Fun.id
+  |> List.for_all (fun origin_row ->
+         let belief = Array.make m 0. in
+         belief.(origin_row) <- 1.;
+         let predicted = Hmm.predict hmm belief in
+         let shortcut = Multi_sim.Stepper.one_hot_prediction stepper ~origin_row in
+         List.for_all
+           (fun r ->
+             Int64.equal (Int64.bits_of_float predicted.(r)) (Int64.bits_of_float (shortcut r)))
+           (List.init m Fun.id))
+
+(* [bans] (reduced modulo the row count) applied in order after the
+   stepper is created, as its own resynchronization would. *)
+let one_hot_matches_after_bans hmm bans =
+  let hmm = Hmm.copy hmm in
+  let stepper = Multi_sim.Stepper.create hmm in
+  let m = Hmm.state_count hmm in
+  List.iter (fun (src, dst) -> Hmm.ban hmm ~src_row:(src mod m) ~dst_row:(dst mod m)) bans;
+  one_hot_matches stepper hmm
+
+(* The bundled IP models (trained once, shared with the serve suite). *)
+let ip_hmms () =
+  List.map
+    (fun name -> (Test_serve.model_of name).Psm_flow.Persist.hmm)
+    [ "RAM"; "MultSum"; "AES"; "Camellia" ]
+
 let test_dense_a_matches_oracle () =
   let values = [ 0; 0; 1; 1; 1; 2; 2; 3; 3; 3; 0; 0; 2; 2; 1; 1; 3; 3 ] in
-  let table, trace, _, psm = train values (List.map (fun v -> float_of_int ((v * 2) + 1)) values) in
+  let _, trace, _, psm = train values (List.map (fun v -> float_of_int ((v * 2) + 1)) values) in
   let hmm = Hmm.build psm in
   fill_dense hmm;
   let m = Hmm.state_count hmm in
@@ -375,22 +441,12 @@ let test_dense_a_matches_oracle () =
     (Psm_hmm.Filtering.log_likelihood f obs = Oracle.Forward.log_likelihood oracle obs);
   check_bool "viterbi path = dense oracle" true
     (Psm_hmm.Offline.viterbi hmm obs = Oracle.viterbi hmm obs);
-  (* [simulate] starts from [Stepper.create], which resets A to the
-     trained matrix, so the dense fill goes in after creation. The
-     reversed trace drives the resync, ban and fallback-jump paths. *)
-  let run ~reference tr =
-    let copy = Hmm.copy hmm in
-    let stepper = Multi_sim.Stepper.create ~reference copy in
-    fill_dense copy;
-    let steps = ref [] in
-    FT.iter (fun _ sample -> steps := Multi_sim.Stepper.step stepper sample :: !steps) tr;
-    (!steps, Multi_sim.Stepper.wrong_instants stepper, Multi_sim.Stepper.resync_events stepper)
-  in
-  List.iter
-    (fun tr ->
-      check_bool "indexed stepper = reference on dense A" true
-        (run ~reference:false tr = run ~reference:true tr))
-    [ trace; trace_of table (List.rev values) ]
+  (* [Stepper.create] resets A to the trained matrix, so the dense fill
+     goes in after creation. *)
+  let copy = Hmm.copy hmm in
+  let stepper = Multi_sim.Stepper.create copy in
+  fill_dense copy;
+  check_bool "one-hot choice = predict on dense A" true (one_hot_matches stepper copy)
 
 let test_viterbi_adversarial_ties () =
   (* All-uniform rows make every predecessor score tie at every step:
@@ -487,22 +543,21 @@ let properties =
               else Table.classify (Psm.prop_table psm) (FT.sample trace ~time))
         in
         Oracle.viterbi hmm obs = Psm_hmm.Offline.viterbi hmm obs);
-    prop "indexed multi-sim ≡ reference multi-sim" arb_values (fun values ->
+    (* ---------- the stepper against its definitions ---------- *)
+    prop "stepper indexes ≡ scans" arb_values (fun values ->
         QCheck.assume (List.length values >= 4);
         let powers = List.map (fun v -> float_of_int (v + 1)) values in
-        let table, trace, _, psm = train values powers in
-        let hmm = Hmm.build psm in
-        (* Both the clean replay and a shuffled trace (exercising the
-           resynchronization, ban and fallback-jump paths). *)
-        let same tr =
-          let fast = Multi_sim.simulate hmm tr in
-          let ref_ = Multi_sim.simulate ~reference:true hmm tr in
-          fast.Multi_sim.estimate = ref_.Multi_sim.estimate
-          && fast.Multi_sim.state_trace = ref_.Multi_sim.state_trace
-          && fast.Multi_sim.wrong_instants = ref_.Multi_sim.wrong_instants
-          && fast.Multi_sim.resync_events = ref_.Multi_sim.resync_events
-        in
-        same trace && same (trace_of table (List.rev values))) ]
+        let _, _, _, psm = train values powers in
+        List.for_all indexes_match (Hmm.build psm :: ip_hmms ()));
+    prop "one-hot choice ≡ Hmm.predict after bans"
+      QCheck.(pair arb_values (small_list (pair small_nat small_nat)))
+      (fun (values, bans) ->
+        QCheck.assume (List.length values >= 4);
+        let powers = List.map (fun v -> float_of_int (v + 1)) values in
+        let _, _, _, psm = train values powers in
+        List.for_all
+          (fun hmm -> one_hot_matches_after_bans hmm bans)
+          (Hmm.build psm :: ip_hmms ())) ]
 
 let suite =
   ( "hmm",

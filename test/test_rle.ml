@@ -329,9 +329,9 @@ let check_vcd_upload name model trace =
       get (Engine.close_session engine ~id:"obs"))
     [ `Filter; `Sim ]
 
-(* Simulation-side equivalence on one model: Multi_sim's memoized
-   stepper, the filter session's memo and the serve VCD upload, each
-   against per-cycle classification. *)
+(* Simulation-side equivalence on one model: Multi_sim over the
+   run-level observations and the serve VCD upload, each against
+   per-cycle classification. *)
 let check_simulation_exact name (trained : Flow.trained) traces =
   let model =
     { Persist.table = trained.Flow.table;
@@ -344,11 +344,6 @@ let check_simulation_exact name (trained : Flow.trained) traces =
       check_steps (name ^ " sim")
         (Per_cycle.simulate trained.Flow.hmm trace)
         (Array.map2 (fun e s -> (e, s)) sim.Multi_sim.estimate sim.Multi_sim.state_trace);
-      let est = Estimate.of_model ~mode:`Filter model in
-      check_steps (name ^ " filter")
-        (Per_cycle.filter model trace)
-        (Array.init (Functional_trace.length trace) (fun time ->
-             Estimate.step_sample est (Functional_trace.sample trace ~time)));
       check_vcd_upload name model trace)
     traces
 
@@ -378,6 +373,74 @@ let test_adversarial_shapes () =
   check_all_exact "phased" [ phased 480 ];
   (* Mixed multi-trace: all three shapes as one training set. *)
   check_all_exact "mixed" [ all_distinct 90; giant_run 110; alternating 100; triples 60 ]
+
+(* ---------- observations ---------- *)
+
+let check_observations name expected actual =
+  check_int (name ^ " instants") (Array.length expected) (Array.length actual);
+  Array.iteri
+    (fun time ((eo, eh), (ao, ah)) ->
+      Alcotest.(check (option int)) (Printf.sprintf "%s obs @%d" name time) eo ao;
+      exact (Printf.sprintf "%s hamming @%d" name time) eh ah)
+    (Array.map2 (fun e a -> (e, a)) expected actual)
+
+(* The one sample -> (proposition, input Hamming) step, in all three
+   forms — the run-level iterator expanded per instant, its array form,
+   and the live observer fed sample by sample (classifying, and interning
+   into a fresh table next to per-sample [classify_or_add]) — against
+   per-cycle classification and the Hamming series. Each shape's table
+   also reads the other shapes' traces, so unknown rows occur. *)
+let test_observations () =
+  let shapes =
+    [ ("all-distinct", all_distinct 120); ("giant-run", giant_run 150);
+      ("alternating", alternating 160); ("triples", triples 150); ("phased", phased 480) ]
+  in
+  let traces = List.map (fun (_, (trace, _)) -> trace) shapes in
+  List.iter
+    (fun (name, (trace, _)) ->
+      let vocabulary = Miner.mine_vocabulary [ trace ] in
+      let table = Prop_trace.Table.create vocabulary in
+      ignore (Prop_trace.of_functional table trace);
+      List.iter
+        (fun other ->
+          if Interface.equal (Functional_trace.interface other) (Functional_trace.interface trace)
+          then begin
+            let n = Functional_trace.length other in
+            let expected = Per_cycle.observations table other in
+            let iterated = Array.make n (None, nan) in
+            Prop_trace.iter_observations table other (fun ~start ~len obs ~hamming ->
+                for time = start to start + len - 1 do
+                  iterated.(time) <- (obs, if time = start then hamming else 0.)
+                done);
+            check_observations (name ^ " iterator") expected iterated;
+            let props, hammings = Prop_trace.observations table other in
+            check_observations (name ^ " array") expected
+              (Array.map2 (fun o h -> (o, h)) props hammings);
+            let observer = Prop_trace.Observer.create table in
+            check_observations (name ^ " observer") expected
+              (Array.init n (fun time ->
+                   let obs =
+                     Prop_trace.Observer.observe observer (Functional_trace.sample other ~time)
+                   in
+                   (obs, Prop_trace.Observer.hamming observer)));
+            let interned = Prop_trace.Table.create vocabulary in
+            let per_sample = Prop_trace.Table.create vocabulary in
+            let trainer = Prop_trace.Observer.create interned in
+            check_observations (name ^ " interning observer")
+              (Array.init n (fun time ->
+                   ( Some
+                       (Prop_trace.Table.classify_or_add per_sample
+                          (Functional_trace.sample other ~time)),
+                     snd expected.(time) )))
+              (Array.init n (fun time ->
+                   let id =
+                     Prop_trace.Observer.observe_or_add trainer
+                       (Functional_trace.sample other ~time)
+                   in
+                   (Some id, Prop_trace.Observer.hamming trainer)))
+          end)
+        traces)
+    shapes
 
 (* ---------- bundled IP ---------- *)
 
@@ -430,5 +493,7 @@ let suite =
       Alcotest.test_case "prop-trace segment windows" `Quick test_iter_prop_runs;
       Alcotest.test_case "adversarial shapes: rle = per-cycle" `Quick
         test_adversarial_shapes;
+      Alcotest.test_case "observations: iterator, observer = per-cycle" `Quick
+        test_observations;
       Alcotest.test_case "RAM capture: rle = per-cycle" `Slow test_ip_equivalence;
       QCheck_alcotest.to_alcotest test_random_rle_equiv ] )

@@ -501,15 +501,64 @@ let test_checkpoint_mid_desync () =
   check_int "twin resync events" st.Engine.resync_events
     st2.Engine.resync_events
 
+(* A blob with the current version line and a digest of [payload]. *)
+let frame payload =
+  Printf.sprintf "%s\n%s\n%s" Engine.checkpoint_version
+    (Digest.to_hex (Digest.string payload))
+    payload
+
+(* Version-2 blobs written while sessions still tracked raw samples carry
+   "prev_inputs":null, and sim blobs also "sim_prev_inputs":null (the
+   engine never wrote anything else there). Such a blob must restore and
+   resume exactly like the current blob, which has neither key. *)
+let test_checkpoint_legacy_keys () =
+  let m = model_of "RAM" in
+  let np = nprops m in
+  let e = Engine.create ~idle_timeout:0. [ ("RAM", m) ] in
+  let text = Vcd.to_string (ram_trace ()) in
+  let insert_before ~anchor ~text s =
+    let n = String.length anchor in
+    let rec find i = if String.sub s i n = anchor then i else find (i + 1) in
+    let k = find 0 in
+    String.sub s 0 k ^ text ^ String.sub s k (String.length s - k)
+  in
+  let tail = Array.mapi (fun i o -> (o, float_of_int (i mod 3))) (mk_obs ~oseed:77 ~np ~len:60) in
+  List.iter
+    (fun (mode, id) ->
+      get (Engine.open_session e ~id ~model:"RAM" ~mode);
+      let n = feed_vcd e ~id text ~pieces:1 in
+      ignore (Engine.drain e);
+      ignore (get (Engine.take_results e ~id ~count:n));
+      let blob = get (Engine.checkpoint e ~id) in
+      let payload =
+        let nl1 = String.index blob '\n' in
+        let nl2 = String.index_from blob (nl1 + 1) '\n' in
+        String.sub blob (nl2 + 1) (String.length blob - nl2 - 1)
+      in
+      check_bool (id ^ " blob has no prev_inputs") false (contains payload "prev_inputs");
+      let legacy = insert_before ~anchor:{|"backend"|} ~text:{|"prev_inputs":null,|} payload in
+      let legacy =
+        if mode = `Sim then
+          insert_before ~anchor:{|"entered_via"|} ~text:{|"sim_prev_inputs":null,|} legacy
+        else legacy
+      in
+      let current = id ^ "-current" and old = id ^ "-legacy" in
+      get (Engine.restore_session e ~id:current blob);
+      get (Engine.restore_session e ~id:old (frame legacy));
+      List.iter (fun id -> ignore (get (Engine.submit e ~id tail))) [ current; old ];
+      ignore (Engine.drain e);
+      check_served ~what:(id ^ " legacy resume")
+        (get (Engine.take_results e ~id:current ~count:60))
+        (get (Engine.take_results e ~id:old ~count:60));
+      check_bool (id ^ " legacy stats") true
+        (get (Engine.session_stats e ~id:current) = get (Engine.session_stats e ~id:old)))
+    [ (`Filter, "filter"); (`Sim, "sim") ]
+
 (* ---------- hostile checkpoints (untrusted wire input) ---------- *)
 
 (* Correctly framed blobs (right version, right digest) whose fields do
    not fit the model: every one must earn an [Error] — never daemon
    state, never an exception. *)
-let frame payload =
-  Printf.sprintf "%s\n%s\n%s" Engine.checkpoint_version
-    (Digest.to_hex (Digest.string payload))
-    payload
 
 let test_hostile_checkpoints () =
   let m = model_of "RAM" in
@@ -523,12 +572,12 @@ let test_hostile_checkpoints () =
   let uniform n = String.concat "," (List.init n (fun _ -> "0.125")) in
   let filter_payload ~steps ~belief =
     Printf.sprintf
-      {|{"model":"RAM","prev_inputs":null,"backend":"filter","steps":%d,"log_lik":-1.5,"belief":[%s]}|}
+      {|{"model":"RAM","backend":"filter","steps":%d,"log_lik":-1.5,"belief":[%s]}|}
       steps belief
   in
   let sim_payload ?(cycles = 5) ?(wrong = 1) ?(bans = "[]") ~mode () =
     Printf.sprintf
-      {|{"model":"RAM","prev_inputs":null,"backend":"sim","mode":%s,"sim_prev_inputs":null,"entered_via":null,"progressed":false,"cycles":%d,"wrong_instants":%d,"resync_events":0,"bans":%s}|}
+      {|{"model":"RAM","backend":"sim","mode":%s,"entered_via":null,"progressed":false,"cycles":%d,"wrong_instants":%d,"resync_events":0,"bans":%s}|}
       mode cycles wrong bans
   in
   (* The v1 format marshalled an OCaml value; its version line is
@@ -569,12 +618,10 @@ let test_hostile_checkpoints () =
     (sim_payload ~mode:{|{"kind":"synced","row":0,"cursors":[]}|} ());
   reject "wrong_instants beyond cycles"
     (sim_payload ~mode:{|{"kind":"unstarted"}|} ~cycles:2 ~wrong:3 ());
-  reject "sample interface mismatch"
-    {|{"model":"RAM","prev_inputs":["1"],"backend":"filter","steps":0,"log_lik":0,"belief":[]}|};
   reject "unknown backend"
-    {|{"model":"RAM","prev_inputs":null,"backend":"exec","steps":0}|};
+    {|{"model":"RAM","backend":"exec","steps":0}|};
   reject "unknown model"
-    {|{"model":"nope","prev_inputs":null,"backend":"filter","steps":0,"log_lik":0,"belief":[]}|};
+    {|{"model":"nope","backend":"filter","steps":0,"log_lik":0,"belief":[]}|};
   (* Digest mismatch is caught before any field parsing. *)
   (match
      Engine.restore_session e ~id:"dg"
@@ -871,6 +918,8 @@ let suite =
         test_checkpoint_kill_resume;
       Alcotest.test_case "checkpoint mid-desync (bans/cursors)" `Slow
         test_checkpoint_mid_desync;
+      Alcotest.test_case "checkpoint with legacy null keys resumes" `Quick
+        test_checkpoint_legacy_keys;
       Alcotest.test_case "hostile checkpoints rejected" `Quick
         test_hostile_checkpoints;
       Alcotest.test_case "daemon fault injection over socket" `Slow

@@ -419,6 +419,38 @@ let test_checkpoint_bad_header () =
             (contains msg Stream.Checkpoint.version_line);
           check_bool "names source" true (contains msg path))
 
+(* A version-1 checkpoint predates the trainer's current layout (its
+   previous sample and proposition sat in loose fields): it must be
+   refused on its header, never unmarshalled. The payload here is a
+   genuine mid-trace trainer, so only the header can refuse it. *)
+let test_checkpoint_refuses_v1 () =
+  let trace, power = random_trace 7 120 in
+  let t = Stream.Trainer.create (Functional_trace.interface trace) in
+  let push lo hi =
+    for i = lo to hi - 1 do
+      Stream.Trainer.push t (Functional_trace.sample trace ~time:i)
+        ~power:(Power_trace.get power i)
+    done
+  in
+  push 0 120;
+  Stream.Trainer.end_trace t;
+  Stream.Trainer.finish_mining t;
+  push 0 60;
+  let path = Filename.temp_file "psm-trainer" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Stream.Checkpoint.save_file path t;
+      let saved = In_channel.with_open_bin path In_channel.input_all in
+      let body = String.sub saved (String.index saved '\n') (String.length saved - String.index saved '\n') in
+      Out_channel.with_open_bin path (fun oc -> output_string oc ("psm-repro-trainer 1" ^ body));
+      match Stream.Checkpoint.load_file path with
+      | _ -> Alcotest.fail "version-1 checkpoint accepted"
+      | exception Stream.Checkpoint.Restore_error msg ->
+          check_bool "names found header" true (contains msg "psm-repro-trainer 1");
+          check_bool "names expected header" true
+            (contains msg Stream.Checkpoint.version_line))
+
 (* ---------- VCD streaming path ---------- *)
 
 let test_vcd_stream_matches_batch () =
@@ -589,6 +621,7 @@ let suite =
       Alcotest.test_case "checkpoint/restore mid-trace" `Slow test_checkpoint_mid_trace;
       Alcotest.test_case "kill/resume harness (mid-pass)" `Slow test_harness_kill_resume;
       Alcotest.test_case "checkpoint rejects model files" `Quick test_checkpoint_bad_header;
+      Alcotest.test_case "checkpoint refuses version 1" `Quick test_checkpoint_refuses_v1;
       Alcotest.test_case "VCD streaming = batch ingestion" `Slow test_vcd_stream_matches_batch;
       Alcotest.test_case "train_stream checkpoint resume" `Slow test_vcd_checkpoint_resume;
       Alcotest.test_case "streamed golden (RAM)" `Slow test_stream_golden ] )
